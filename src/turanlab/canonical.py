@@ -3,9 +3,15 @@
 ``certificate`` returns a byte string that is identical for two graphs if and
 only if they are isomorphic.  It is computed by equitable refinement plus
 individualization: starting from the degree partition, the partition is
-refined until stable; when it is not yet discrete, each vertex of the first
+refined until equitable; when it is not yet discrete, each vertex of the first
 smallest cell is individualized in turn and the search recurses, keeping the
 lexicographically smallest adjacency encoding over all discrete leaves.
+
+Refinement is a splitter queue that enqueues every cell it creates.  Once a
+cell has been used as a splitter, every cell is uniform against it, and
+later splits keep that true; since each final cell was enqueued when it was
+created and the queue drains, the final partition is equitable without a
+separate check (McKay and Piperno, Practical graph isomorphism II, 2014).
 
 Two standard prunings keep symmetric inputs (complete graphs, Turan graphs,
 cycles) from exploding: leaves that reproduce the current best encoding
@@ -21,51 +27,34 @@ from .graphs import SimpleGraph, bits
 
 
 def _refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Refine an ordered partition to the coarsest stable one below it.
+    """Refine an ordered partition to the coarsest equitable one below it.
 
     Cells are split by neighbor counts against splitter cells; fragments are
     ordered by count, so the result depends only on the isomorphism type of
-    (graph, ordered partition).
+    (graph, ordered partition).  Every fragment is enqueued when it is
+    created, so each final cell has served as a splitter and the result is
+    equitable once the queue drains.
     """
     queue = [sum(1 << v for v in c) for c in cells]
-    while True:
-        while queue:
-            smask = queue.pop()
-            newcells: list[tuple[int, ...]] = []
-            split = False
-            for cell in cells:
-                if len(cell) == 1:
-                    newcells.append(cell)
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    newcells.append(cell)
-                else:
-                    split = True
-                    for key in sorted(groups):
-                        frag = tuple(groups[key])
-                        newcells.append(frag)
-                        queue.append(sum(1 << v for v in frag))
-            if split:
-                cells = newcells
-        # verification pass: queue bookkeeping above is heuristic, this is not
-        stable = True
-        for ci, cell in enumerate(cells):
+    while queue:
+        smask = queue.pop()
+        newcells: list[tuple[int, ...]] = []
+        for cell in cells:
             if len(cell) == 1:
+                newcells.append(cell)
                 continue
-            for other in cells:
-                smask = sum(1 << v for v in other)
-                counts = {(adj[v] & smask).bit_count() for v in cell}
-                if len(counts) > 1:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            return cells
-        queue = [sum(1 << v for v in c) for c in cells]
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+            if len(groups) == 1:
+                newcells.append(cell)
+            else:
+                for key in sorted(groups):
+                    frag = tuple(groups[key])
+                    newcells.append(frag)
+                    queue.append(sum(1 << v for v in frag))
+        cells = newcells
+    return cells
 
 
 def _leaf_bytes(n: int, adj: tuple[int, ...], order: list[int]) -> bytes:

@@ -14,7 +14,6 @@ the given family with Turan inner values).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, Sequence
 
@@ -31,7 +30,14 @@ from .constructions import (
     wheel_extremal_value,
 )
 from .containment import ForbiddenFamily, is_free
-from .graph6 import Graph6ParseError, decode_graph6, encode_graph6, read_graph6_lines
+from .graph6 import (
+    Graph6ParseError,
+    decode_graph6,
+    encode_graph6,
+    json_doc,
+    read_graph6_lines,
+    write_graph6_lines,
+)
 from .graphs import SimpleGraph, complete, cycle, path, turan, turan_edge_count, wheel
 from .oracle import (
     BudgetExceededError,
@@ -148,10 +154,6 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _json_doc(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def _read_graph_input(path: str) -> list[SimpleGraph]:
     text = sys.stdin.read() if path == "-" else open(path).read()
     graphs = read_graph6_lines(text)
@@ -166,16 +168,10 @@ def _budget(args) -> SearchBudget | None:
     return SearchBudget(args.budget_candidates, args.budget_seconds)
 
 
-def _check_common(args):
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
-
-
 # === subcommand handlers ===
 
 
 def _cmd_gen(args) -> int:
-    _check_common(args)
     if args.kind == "wheel":
         if args.n is None or args.k is None:
             raise ValueError("gen --kind wheel needs --n and --k")
@@ -200,7 +196,7 @@ def _cmd_gen(args) -> int:
             g = parse_pattern_token(t)
     else:
         raise ValueError(f"unknown gen kind {args.kind!r}")
-    line = encode_graph6(g) + "\n"
+    line = write_graph6_lines([g])
     sys.stdout.write(line)
     if args.out:
         _write(args.out, line)
@@ -208,7 +204,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ex_formula(args) -> int:
-    _check_common(args)
     chosen = [x for x in (args.wheel_k, args.wheels, args.turan_r) if x is not None]
     if len(chosen) != 1:
         raise ValueError("pick exactly one of --wheel-k, --wheels, --turan-r")
@@ -261,7 +256,7 @@ def _cmd_ex_formula(args) -> int:
         }
     sys.stdout.write("\n".join(lines) + "\n")
     if args.json:
-        _write(args.json, _json_doc(doc))
+        _write(args.json, json_doc(doc))
     return 0
 
 
@@ -277,7 +272,6 @@ def _result_text(result) -> str:
 
 
 def _cmd_brute_force(args) -> int:
-    _check_common(args)
     family = parse_family(args.family)
     seeds = tuple(decode_graph6(s) for s in args.seed_g6 or ())
     try:
@@ -298,12 +292,11 @@ def _cmd_brute_force(args) -> int:
     if args.json:
         _write(args.json, result.to_json())
     if args.graph6:
-        _write(args.graph6, "".join(encode_graph6(w) + "\n" for w in result.witnesses))
+        _write(args.graph6, write_graph6_lines(result.witnesses))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    _check_common(args)
     family = parse_family(args.family)
     if args.n_to < args.n_from:
         raise ValueError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
@@ -325,7 +318,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_common(args)
     family = parse_family(args.family)
     graphs = _read_graph_input(args.infile)
     budget = _budget(args)
@@ -384,12 +376,11 @@ def _cmd_verify(args) -> int:
             "family": [encode_graph6(p) for p in family],
             "graphs": records,
         }
-        _write(args.json, _json_doc(doc))
+        _write(args.json, json_doc(doc))
     return 0
 
 
 def _cmd_criticality(args) -> int:
-    _check_common(args)
     tokens = [t.strip() for t in args.family.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty family spec")
@@ -419,12 +410,11 @@ def _cmd_criticality(args) -> int:
         )
     sys.stdout.write("\n".join(lines) + "\n")
     if args.json:
-        _write(args.json, _json_doc({"schema": "criticality-report/1", "patterns": records}))
+        _write(args.json, json_doc({"schema": "criticality-report/1", "patterns": records}))
     return 0
 
 
 def _cmd_stability(args) -> int:
-    _check_common(args)
     graphs = _read_graph_input(args.infile)
     docs = []
     for idx, g in enumerate(graphs, start=1):
@@ -455,7 +445,7 @@ def _cmd_stability(args) -> int:
         entry["min_degree_audit"] = audit
         docs.append(entry)
     if args.json:
-        _write(args.json, _json_doc({"schema": "stability-report/1", "graphs": docs}))
+        _write(args.json, json_doc({"schema": "stability-report/1", "graphs": docs}))
     return 0
 
 
@@ -466,13 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=0, help="seed for randomized components (default 0)"
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap; execution is single-threaded and output is identical "
-        "for any accepted value",
     )
 
     budgeted = argparse.ArgumentParser(add_help=False)

@@ -20,24 +20,21 @@ suitably ordered), the extremal edge count at order n is
 realized by joining a clique on l-1 vertices to a graph that is extremal for
 F_l alone.  ``union_extremal_value`` takes the inner ex values from a caller
 supplied provider, so the same evaluator runs against closed forms, known
-tables, or the brute-force oracle.  For families of odd wheels both the
-double-maximum form and the per-l composition are evaluated and checked
-against each other.
+tables, or the brute-force oracle.  For families of odd wheels the inner
+values are wheel bracket maxima.
 
-All evaluators are plain integer arithmetic scans (vectorized with numpy)
-and are total; builders validate feasibility and raise instead of silently
-returning a wrong graph.
+All evaluators are exact integer arithmetic and are total; builders
+validate feasibility and raise instead of silently returning a wrong
+graph.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .containment import ForbiddenFamily, contains_subgraph
+from .containment import ForbiddenFamily, as_family, contains_subgraph
+from .graph6 import json_doc
 from .graphs import SimpleGraph, complete, disjoint_union, join, path
 
 
@@ -62,12 +59,18 @@ def _wheel_bracket(n: int, k: int, n0: int) -> int:
 
 
 def _wheel_bracket_scan(n: int, k: int) -> FormulaValue:
-    """Max of the wheel bracket over n0 = 1..n (no validity gate on k)."""
-    n0 = np.arange(1, n + 1, dtype=np.int64)
-    vals = n0 * (n - n0) + ((k - 1) * n0) // 2 + 1
-    best = int(vals.max())
-    arg = tuple(int(x) for x in n0[vals == best])
-    return FormulaValue(best, arg)
+    """Max of the wheel bracket over n0 = 1..n (no validity gate on k).
+
+    The quadratic part n0*(n-n0) + (k-1)*n0/2 peaks at x = (2n+k-1)/4.  Three
+    steps from c = floor(x) it is more than 3 below its value at the integer
+    nearest x, while the floor term moves the bracket by at most 1/2, so
+    every maximizer lies within 2 of c (clamped to [1, n]).
+    """
+    c = min(max((2 * n + k - 1) // 4, 1), n)
+    window = range(max(c - 2, 1), min(c + 2, n) + 1)
+    vals = {n0: _wheel_bracket(n, k, n0) for n0 in window}
+    best = max(vals.values())
+    return FormulaValue(best, tuple(n0 for n0 in window if vals[n0] == best))
 
 
 def wheel_extremal_value(n: int, k: int) -> FormulaValue:
@@ -157,6 +160,15 @@ def _regular_component(c: int, d: int) -> SimpleGraph:
     return SimpleGraph._from_rows(c, rows)
 
 
+def _layer_layout(sizes: list[int], k: int) -> tuple[tuple[int, bool], ...]:
+    """(order, exactly_regular) per component, the single odd-order component
+    (if any) last: its vertex 0 is the one deficient vertex when the parity
+    demands one."""
+    odd = [s for s in sizes if ((k - 1) * s) % 2 == 1]
+    even = [s for s in sizes if ((k - 1) * s) % 2 == 0]
+    return tuple([(s, True) for s in even] + [(s, False) for s in odd])
+
+
 def path_free_regular_graph(n0: int, k: int) -> SimpleGraph:
     """A (k-1)-regular or nearly regular graph on n0 vertices with no path
     on 2k-1 vertices, every component of order at most 2k-2.
@@ -177,11 +189,7 @@ def path_free_regular_graph(n0: int, k: int) -> SimpleGraph:
             f"n0 = {n0} has no split into component orders in"
             f" [{k}, {2 * k - 2}] compatible with degree {k - 1}"
         )
-    # put the single odd-order component (if any) last: its vertex 0 is the
-    # one deficient vertex when the parity demands one
-    odd = [s for s in sizes if ((k - 1) * s) % 2 == 1]
-    even = [s for s in sizes if ((k - 1) * s) % 2 == 0]
-    parts = [_regular_component(c, k - 1) for c in even + odd]
+    parts = [_regular_component(c, k - 1) for c, _ in _layer_layout(sizes, k)]
     g = disjoint_union(parts)
     assert g.edge_count == ((k - 1) * n0) // 2
     return g
@@ -253,13 +261,7 @@ class ConstructionRecipe:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def _layer_layout(sizes: list[int], k: int) -> tuple[tuple[int, bool], ...]:
-    odd = [s for s in sizes if ((k - 1) * s) % 2 == 1]
-    even = [s for s in sizes if ((k - 1) * s) % 2 == 0]
-    return tuple([(s, True) for s in even] + [(s, False) for s in odd])
+        return json_doc(self.to_json_dict())
 
 
 def wheel_construction_recipe(
@@ -405,7 +407,7 @@ def union_extremal_value(
     The inner extremal numbers come from ``ex_provider``; provider failures
     propagate unchanged.
     """
-    fam = family if isinstance(family, ForbiddenFamily) else ForbiddenFamily(family)
+    fam = as_family(family)
     h = len(fam)
     terms: dict[int, int] = {}
     for ell in range(1, h + 1):
@@ -439,11 +441,10 @@ def union_extremal_graph(n: int, ell: int, h: SimpleGraph) -> SimpleGraph:
 
 @dataclass(frozen=True)
 class UnionWheelsValue:
-    """Both evaluations of the odd-wheel union formula.
+    """The odd-wheel union formula with its maximizers.
 
-    ``value``/``argmax`` come from the double maximum over (i, n0);
-    ``per_index`` is the equivalent per-l composition through the wheel
-    bracket.  The two always agree (asserted at evaluation time).
+    ``argmax`` lists every maximizing (i, n0) of the double maximum;
+    ``per_index`` is the same maximum read per layer index i.
     ``flagged_ks`` lists entries k < 3, where the wheel bracket is evaluated
     arithmetically but is not backed by the closed form.
     """
@@ -457,13 +458,11 @@ class UnionWheelsValue:
 def union_wheels_value(n: int, ks: Sequence[int]) -> UnionWheelsValue:
     """Evaluate the union formula for odd wheels W_{2k_i+1}, k_1 >= ... >= k_m.
 
-    Double form: max over i and n0 >= i of
-      n0*(n-n0) + (i-1)*(n0-i+1) + C(i-1,2) + floor((k_i-1)*(n0-i+1)/2) + 1.
-    Per-index form: max over i of
-      C(i-1,2) + (i-1)*(n-i+1) + wheel bracket maximum at order n-i+1.
-    The n0 >= i restriction keeps the substituted layer order positive; the
-    two forms are then identical term by term and both are computed and
-    compared here as a self-check.
+    The double maximum over i and n0 >= i of
+      n0*(n-n0) + (i-1)*(n0-i+1) + C(i-1,2) + floor((k_i-1)*(n0-i+1)/2) + 1
+    equals, term by term with n0' = n0-i+1, the maximum over i of
+      C(i-1,2) + (i-1)*(n-i+1) + wheel bracket at order n-i+1 and n0',
+    which is what is evaluated here; argmax pairs are reported as (i, n0).
     """
     ks = list(ks)
     if not ks:
@@ -475,45 +474,21 @@ def union_wheels_value(n: int, ks: Sequence[int]) -> UnionWheelsValue:
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
 
-    best = None
-    argmax: list[tuple[int, int]] = []
-    per_terms: dict[int, int] = {}
+    terms: dict[int, FormulaValue] = {}
     for i, k in enumerate(ks, start=1):
-        if n - i + 1 < 1:
-            continue
-        n0 = np.arange(i, n + 1, dtype=np.int64)
-        inner = n0 - i + 1
-        vals = (
-            n0 * (n - n0)
-            + (i - 1) * inner
-            + (i - 1) * (i - 2) // 2
-            + ((k - 1) * inner) // 2
-            + 1
+        m = n - i + 1
+        if m < 1:
+            break
+        scan = _wheel_bracket_scan(m, k)
+        terms[i] = FormulaValue(
+            (i - 1) * (i - 2) // 2 + (i - 1) * m + scan.value, scan.argmax
         )
-        top = int(vals.max())
-        if best is None or top > best:
-            best = top
-            argmax = [(i, int(x)) for x in n0[vals == top]]
-        elif top == best:
-            argmax.extend((i, int(x)) for x in n0[vals == top])
-        scan = _wheel_bracket_scan(n - i + 1, k)
-        per_terms[i] = (
-            (i - 1) * (i - 2) // 2 + (i - 1) * (n - i + 1) + scan.value
-        )
-    if best is None:
-        raise ValueError(f"no valid index i at n={n}")
-    per_best = max(per_terms.values())
-    per = FormulaValue(
-        per_best, tuple(i for i, v in sorted(per_terms.items()) if v == per_best)
-    )
-    if per.value != best:
-        raise AssertionError(
-            f"formula forms disagree at n={n}, ks={ks}: {best} vs {per.value}"
-        )
+    best = max(t.value for t in terms.values())
+    top = [i for i, t in terms.items() if t.value == best]
     return UnionWheelsValue(
         value=best,
-        argmax=tuple(argmax),
-        per_index=per,
+        argmax=tuple((i, n0 + i - 1) for i in top for n0 in terms[i].argmax),
+        per_index=FormulaValue(best, tuple(top)),
         flagged_ks=tuple(k for k in ks if k < 3),
     )
 
@@ -548,7 +523,7 @@ def check_properly_ordered(
     ``ex_value`` and a complete ``witnesses`` list.  Budget errors from the
     oracle propagate; this never converts them into a silent verdict.
     """
-    fam = family if isinstance(family, ForbiddenFamily) else ForbiddenFamily(family)
+    fam = as_family(family)
     ex_values: list[int] = []
     witnesses: list[SimpleGraph | None] = []
     for ell in range(1, len(fam) + 1):

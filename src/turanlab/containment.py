@@ -31,9 +31,6 @@ class Embedding:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.mapping)
 
-    def host_mask(self) -> int:
-        return sum(1 << v for v in self.mapping)
-
 
 def embedding_is_valid(host: SimpleGraph, pattern: SimpleGraph, emb: Embedding) -> bool:
     """Check injectivity and that every pattern edge maps onto a host edge."""
@@ -83,7 +80,9 @@ class ForbiddenFamily:
         return f"ForbiddenFamily([{inner}])"
 
 
-def _as_family(family) -> ForbiddenFamily:
+def as_family(family) -> ForbiddenFamily:
+    """``family`` itself when it already is a ForbiddenFamily, else a new one
+    over the given patterns; the hot containment calls never copy."""
     if isinstance(family, ForbiddenFamily):
         return family
     return ForbiddenFamily(family)
@@ -195,7 +194,7 @@ def contains_disjoint_family(host: SimpleGraph, family) -> list[Embedding] | Non
     identical patterns the copies are forced into increasing order of least
     host vertex, which discards only permutations of interchangeable copies.
     """
-    fam = _as_family(family)
+    fam = as_family(family)
     if fam.total_order > host.n:
         return None
     order = _search_order(fam)
@@ -214,7 +213,7 @@ def contains_disjoint_family_through(
     When ``host`` minus ``vertex`` is already family-free this decides full
     containment, which is how the oracle checks each one-vertex extension.
     """
-    fam = _as_family(family)
+    fam = as_family(family)
     if fam.total_order > host.n:
         return False
     order = _search_order(fam)

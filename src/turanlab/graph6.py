@@ -1,4 +1,4 @@
-"""graph6 text encoding of simple graphs.
+"""graph6 text encoding of simple graphs, and the JSON artifact layout.
 
 One graph per token: a vertex-count header followed by the upper triangle of
 the adjacency matrix in column order (bit (i, j) for j = 1..n-1, i = 0..j-1),
@@ -7,9 +7,14 @@ up to 62 use a single header byte; larger orders use the standard '~' and
 '~~' long headers.  The decoder is strict: bad characters, truncation,
 trailing data, and nonzero padding bits are all parse errors that report the
 byte offset of the problem.
+
+JSON artifacts name their graphs by graph6 token and are written by
+``json_doc`` alone, so equal documents re-emit byte for byte.
 """
 
 from __future__ import annotations
+
+import json
 
 from .graphs import SimpleGraph
 
@@ -107,6 +112,12 @@ def decode_graph6(s: str) -> SimpleGraph:
     if pos != len(s):
         raise Graph6ParseError("trailing data after graph", pos)
     return SimpleGraph._from_rows(n, rows)
+
+
+def json_doc(data: dict) -> str:
+    """The one JSON layout of every artifact: sorted keys, two-space indent,
+    trailing newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def write_graph6_lines(graphs) -> str:

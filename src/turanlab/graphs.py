@@ -9,7 +9,6 @@ bugs and makes instances safe to share across data structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -218,39 +217,6 @@ def turan_edge_count(n: int, r: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class StandardKind:
-    """A named standard-graph request: kind plus its integer parameters."""
-
-    kind: str
-    params: tuple[int, ...]
-
-
-_BUILDERS = {
-    "empty": (1, lambda p: empty_graph(*p)),
-    "complete": (1, lambda p: complete(*p)),
-    "path": (1, lambda p: path(*p)),
-    "cycle": (1, lambda p: cycle(*p)),
-    "wheel": (1, lambda p: wheel(*p)),
-    "turan": (2, lambda p: turan(*p)),
-    "complete-multipartite": (None, lambda p: complete_multipartite(p)),
-}
-
-
-def build_standard(spec: StandardKind) -> SimpleGraph:
-    """Build a standard graph from its kind name and parameters."""
-    if spec.kind not in _BUILDERS:
-        raise ValueError(
-            f"unknown standard kind {spec.kind!r}; known: {sorted(_BUILDERS)}"
-        )
-    arity, fn = _BUILDERS[spec.kind]
-    if arity is not None and len(spec.params) != arity:
-        raise ValueError(
-            f"{spec.kind} expects {arity} parameter(s), got {spec.params}"
-        )
-    return fn(tuple(spec.params))
-
-
 # === disjoint union and join ===
 
 
@@ -283,15 +249,3 @@ def join(parts: Iterable[SimpleGraph]) -> SimpleGraph:
         rows.extend((r << shift) | others for r in g.adj)
         shift += g.n
     return SimpleGraph._from_rows(n, rows)
-
-
-def to_dot(g: SimpleGraph, name: str = "g") -> str:
-    """Render as Graphviz DOT (undirected); isolated vertices listed bare."""
-    lines = [f"graph {name} {{"]
-    isolated = [v for v in range(g.n) if g.adj[v] == 0]
-    for v in isolated:
-        lines.append(f"  {v};")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

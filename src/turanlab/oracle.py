@@ -21,7 +21,6 @@ oracles share no search code, so their agreement is a real cross-check.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from itertools import permutations
@@ -33,11 +32,12 @@ import numpy as np
 from .canonical import certificate
 from .containment import (
     ForbiddenFamily,
+    as_family,
     contains_disjoint_family,
     contains_disjoint_family_through,
     is_free,
 )
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import decode_graph6, encode_graph6, json_doc
 from .graphs import SimpleGraph, complete, disjoint_union, turan
 
 
@@ -88,7 +88,7 @@ class ExtremalResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_doc(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExtremalResult":
@@ -110,12 +110,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, partial: ExtremalResult):
         super().__init__(message)
         self.partial = partial
-
-
-def _as_family(family) -> ForbiddenFamily:
-    if isinstance(family, ForbiddenFamily):
-        return family
-    return ForbiddenFamily(family)
 
 
 def _augment(parent: SimpleGraph, nb_mask: int) -> SimpleGraph:
@@ -148,7 +142,7 @@ def brute_force_ex(
     graph on n vertices avoids the family, which happens exactly when some
     pattern with no edges fits inside n vertices.
     """
-    fam = _as_family(family)
+    fam = as_family(family)
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     if n > hard_cap and not allow_large:
@@ -241,7 +235,7 @@ def labeled_filter_ex(
     deduplicated to isomorphism classes and sorted by certificate, so the
     result is directly comparable with brute_force_ex.
     """
-    fam = _as_family(family)
+    fam = as_family(family)
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     if n > 7:
@@ -339,7 +333,7 @@ class ThresholdReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_doc(self.to_json_dict())
 
     def to_text(self) -> str:
         lines = [f"{'n':>4}  {'formula':>8}  {'oracle':>7}  {'witnesses':>9}  match"]
@@ -374,7 +368,7 @@ def threshold_scan(
     oracle up; it must return an empty sequence where it has nothing.
     Budget trips mark single rows unknown instead of aborting the scan.
     """
-    fam = _as_family(family)
+    fam = as_family(family)
     rows: list[ThresholdRow] = []
     for n in n_range:
         formula_value = int(formula(n))
@@ -420,7 +414,7 @@ def maximality_audit(
     searches embeddings through one endpoint of the added edge: an embedding
     avoiding that endpoint would live inside the original free graph.
     """
-    fam = _as_family(family)
+    fam = as_family(family)
     if not is_free(g, fam):
         raise ValueError("graph already contains the family; maximality is moot")
     violations = []

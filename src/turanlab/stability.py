@@ -16,12 +16,12 @@ vertex already sits in a part minimizing its internal degree.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .containment import ForbiddenFamily, contains_subgraph, is_free
+from .containment import ForbiddenFamily, as_family, contains_subgraph, is_free
+from .graph6 import json_doc
 from .graphs import SimpleGraph, complete, join
 
 
@@ -50,7 +50,7 @@ class PartitionDiagnostics:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_doc(self.to_json_dict())
 
 
 def _part_masks(g: SimpleGraph, parts: Sequence[Sequence[int]]) -> list[int]:
@@ -294,7 +294,7 @@ class StructureAudit:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_doc(self.to_json_dict())
 
 
 def structure_audit(
@@ -308,7 +308,7 @@ def structure_audit(
     family, the graph is exactly K_q joined to the remainder H, H avoids
     F_ell, and e(H) matches ex_provider(n - q, ell).
     """
-    fam = family if isinstance(family, ForbiddenFamily) else ForbiddenFamily(family)
+    fam = as_family(family)
     if not is_free(g, fam):
         raise ValueError("graph contains the family; structure audit expects free input")
     clique = dominating_clique(g)

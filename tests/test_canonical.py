@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from turanlab import (
     SimpleGraph,
     certificate,
@@ -14,11 +16,37 @@ from turanlab import (
     turan,
     wheel,
 )
+from turanlab.canonical import _refine
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
     edges = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
     return SimpleGraph(n, edges)
+
+
+def atlas_graphs() -> list[SimpleGraph]:
+    """All 1253 graphs on at most 7 vertices, from the networkx atlas."""
+    nx = pytest.importorskip("networkx")
+    return [
+        SimpleGraph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()
+    ]
+
+
+def degree_partition(g: SimpleGraph) -> list[tuple[int, ...]]:
+    by_degree: dict[int, list[int]] = {}
+    for v in range(g.n):
+        by_degree.setdefault(g.degree(v), []).append(v)
+    return [tuple(by_degree[d]) for d in sorted(by_degree)]
+
+
+def is_equitable(g: SimpleGraph, cells: list[tuple[int, ...]]) -> bool:
+    """Every vertex of a cell has the same neighbor count in every cell."""
+    for other in cells:
+        mask = sum(1 << v for v in other)
+        for cell in cells:
+            if len({(g.adj[v] & mask).bit_count() for v in cell}) > 1:
+                return False
+    return True
 
 
 class TestCertificate:
@@ -71,3 +99,34 @@ class TestIsIsomorphic:
         h = g.without_edge(0, 1).with_edge(0, 2)
         # rewiring one endpoint changes the degree sequence
         assert not is_isomorphic(g, h)
+
+
+class TestAtlas:
+    def test_certificates_separate_every_atlas_graph(self):
+        rng = random.Random(3)
+        graphs = atlas_graphs()
+        assert len(graphs) == 1253
+        certs = [certificate(g) for g in graphs]
+        assert len(set(certs)) == len(graphs)
+        relabeled = []
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabeled.append(certificate(g.relabel(perm)))
+        assert relabeled == certs
+
+    def test_refine_is_equitable(self):
+        rng = random.Random(23)
+        graphs = atlas_graphs()
+        graphs += [random_graph(rng, rng.randint(1, 10)) for _ in range(300)]
+        for g in graphs:
+            start = degree_partition(g)
+            cells = _refine(g.adj, start)
+            assert sorted(v for c in cells for v in c) == list(range(g.n))
+            assert is_equitable(g, cells)
+            # individualizing a vertex, as the certificate search does
+            if g.n > 1:
+                v = rng.randrange(g.n)
+                pinned = [(v,)] + [tuple(u for u in c if u != v) for c in start]
+                cells = _refine(g.adj, [c for c in pinned if c])
+                assert is_equitable(g, cells)

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through the argument-list entry point."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +313,40 @@ class TestDeterminism:
         text = out.read_text()
         doc = json.loads(text)
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    """Stdout and artifact bytes pinned against files recorded from the CLI."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("wheels", ["ex-formula", "--wheels", "3,2", "--n", "24"]),
+            ("wheel", ["ex-formula", "--wheel-k", "3", "--n", "20"]),
+            ("brute_force", ["brute-force", "--family", "k3,k3", "--n", "6"]),
+            (
+                "scan",
+                [
+                    "scan", "--family", "k3,k3", "--formula", "union-turan:2",
+                    "--n-from", "6", "--n-to", "8",
+                ],
+            ),
+            ("gen", ["gen", "--kind", "wheel", "--n", "20", "--k", "3"]),
+        ],
+    )
+    def test_outputs_are_unchanged(self, name, argv, tmp_path, capsys):
+        out_json = tmp_path / "out.json"
+        out_g6 = tmp_path / "out.g6"
+        argv = argv + ["--json", str(out_json)]
+        if name == "brute_force":
+            argv += ["--graph6", str(out_g6)]
+        assert main(argv) == 0
+        golden = GOLDEN / name
+        stdout = capsys.readouterr().out.encode()
+        assert stdout == golden.with_suffix(".out").read_bytes()
+        assert out_json.read_bytes() == golden.with_suffix(".json").read_bytes()
+        if name == "brute_force":
+            assert out_g6.read_bytes() == golden.with_suffix(".g6").read_bytes()

@@ -1,6 +1,7 @@
 """Closed-form values, extremal constructions, and family-order checks."""
 
 import json
+import time
 
 import pytest
 
@@ -30,6 +31,31 @@ from turanlab import (
 )
 
 
+def union_wheels_reference(n: int, ks: list[int]) -> tuple[int, tuple]:
+    """Exhaustive double maximum over (i, n0 >= i) of the union-wheel form."""
+    vals = {
+        (i, n0): n0 * (n - n0)
+        + (i - 1) * (n0 - i + 1)
+        + (i - 1) * (i - 2) // 2
+        + ((k - 1) * (n0 - i + 1)) // 2
+        + 1
+        for i, k in enumerate(ks, start=1)
+        for n0 in range(i, n + 1)
+    }
+    best = max(vals.values())
+    return best, tuple(p for p, v in vals.items() if v == best)
+
+
+def matches_reference(n: int, ks: list[int]) -> bool:
+    uw = union_wheels_value(n, ks)
+    value, argmax = union_wheels_reference(n, ks)
+    return (
+        (uw.value, uw.argmax) == (value, argmax)
+        and uw.per_index.value == value
+        and uw.per_index.argmax == tuple(sorted({i for i, _ in argmax}))
+    )
+
+
 class TestWheelFormula:
     def test_reference_values(self):
         fv = wheel_extremal_value(20, 3)
@@ -49,6 +75,27 @@ class TestWheelFormula:
             fv = wheel_extremal_value(n, 3)
             for n0 in range(n + 1):
                 assert fv.value >= n0 * (n - n0) + n0 + 1
+
+    def test_matches_exhaustive_scan(self):
+        for k in range(3, 13):
+            for n in range(1, 601):
+                vals = [
+                    n0 * (n - n0) + ((k - 1) * n0) // 2 + 1 for n0 in range(1, n + 1)
+                ]
+                best = max(vals)
+                fv = wheel_extremal_value(n, k)
+                assert fv.value == best
+                assert fv.argmax == tuple(
+                    n0 for n0, v in enumerate(vals, start=1) if v == best
+                )
+
+    def test_huge_order_is_exact_and_fast(self):
+        n = 10**15
+        t0 = time.perf_counter()
+        fv = wheel_extremal_value(n, 3)
+        assert time.perf_counter() - t0 < 1.0
+        assert fv.value == n * n // 4 + n // 2 + 1
+        assert fv.argmax == (n // 2, n // 2 + 1)
 
 
 class TestLayerGraphs:
@@ -172,9 +219,8 @@ class TestUnionWheels:
 
     def test_forms_agree_on_a_sweep(self):
         for n in range(1, 60):
-            for ks in ([3], [4, 3], [3, 3], [5, 4, 3]):
-                uw = union_wheels_value(n, ks)
-                assert uw.value == uw.per_index.value
+            for ks in ([3], [4, 3], [3, 3], [5, 4, 3], [2, 2]):
+                assert matches_reference(n, ks), (n, ks)
 
     def test_requires_descending(self):
         with pytest.raises(ValueError):

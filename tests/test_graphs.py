@@ -6,8 +6,6 @@ import pytest
 
 from turanlab import (
     SimpleGraph,
-    StandardKind,
-    build_standard,
     complete,
     complete_multipartite,
     cycle,
@@ -130,14 +128,6 @@ class TestBuilders:
 
     def test_turan_one_part_is_empty(self):
         assert turan(5, 1).edge_count == 0
-
-    def test_build_standard(self):
-        assert build_standard(StandardKind("cycle", (5,))) == cycle(5)
-        assert build_standard(StandardKind("turan", (7, 2))) == turan(7, 2)
-        with pytest.raises(ValueError):
-            build_standard(StandardKind("moebius", (5,)))
-        with pytest.raises(ValueError):
-            build_standard(StandardKind("cycle", (5, 2)))
 
 
 class TestCombinators:
