@@ -40,6 +40,7 @@ from .graph6 import (
 )
 from .graphs import SimpleGraph, complete, cycle, path, turan, turan_edge_count, wheel
 from .oracle import (
+    HARD_CAP,
     BudgetExceededError,
     SearchBudget,
     brute_force_ex,
@@ -155,7 +156,11 @@ def _write(path: str, text: str):
 
 
 def _read_graph_input(path: str) -> list[SimpleGraph]:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     graphs = read_graph6_lines(text)
     if not graphs:
         raise ValueError(f"no graphs found in {path!r}")
@@ -280,7 +285,6 @@ def _cmd_brute_force(args) -> int:
             family,
             budget=_budget(args),
             seeds=seeds,
-            hard_cap=args.hard_cap,
             allow_large=args.allow_large,
         )
     except BudgetExceededError as err:
@@ -308,7 +312,6 @@ def _cmd_scan(args) -> int:
         formula,
         budget=_budget(args),
         seeds_provider=seeds,
-        hard_cap=args.hard_cap,
         allow_large=args.allow_large,
     )
     sys.stdout.write(report.to_text())
@@ -327,7 +330,6 @@ def _cmd_verify(args) -> int:
             m,
             ForbiddenFamily([family[ell - 1]]),
             budget=budget,
-            hard_cap=args.hard_cap,
             allow_large=args.allow_large,
         ).ex_value
 
@@ -453,11 +455,6 @@ def _cmd_stability(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized components (default 0)"
-    )
-
     budgeted = argparse.ArgumentParser(add_help=False)
     budgeted.add_argument(
         "--budget-candidates", type=int, default=None,
@@ -468,12 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort enumeration after this wall time",
     )
     budgeted.add_argument(
-        "--hard-cap", type=int, default=10,
-        help="largest n the oracle accepts without --allow-large (default 10)",
-    )
-    budgeted.add_argument(
         "--allow-large", action="store_true",
-        help="acknowledge an oracle run above the hard cap",
+        help=f"acknowledge an oracle run above n = {HARD_CAP}",
     )
 
     parser = argparse.ArgumentParser(
@@ -484,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "gen", parents=[common],
+        "gen",
         help="emit a construction or standard graph as graph6",
     )
     p.add_argument("--kind", required=True, choices=["wheel", "standard"])
@@ -498,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(
-        "ex-formula", parents=[common],
+        "ex-formula",
         help="evaluate a closed-form extremal edge count",
     )
     p.add_argument("--n", type=int, required=True)
@@ -509,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ex_formula)
 
     p = sub.add_parser(
-        "brute-force", parents=[common, budgeted],
+        "brute-force", parents=[budgeted],
         help="exact ex(n, family) with all witnesses up to isomorphism",
     )
     p.add_argument("--family", required=True, help="comma-separated pattern tokens")
@@ -523,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_brute_force)
 
     p = sub.add_parser(
-        "scan", parents=[common, budgeted],
+        "scan", parents=[budgeted],
         help="compare a formula against the oracle over a range of n",
     )
     p.add_argument("--family", required=True)
@@ -538,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser(
-        "verify", parents=[common, budgeted],
+        "verify", parents=[budgeted],
         help="audit graphs from a graph6 file: freeness, maximality, structure",
     )
     p.add_argument("--in", dest="infile", required=True, help="graph6 file, or - for stdin")
@@ -547,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "criticality", parents=[common],
+        "criticality",
         help="chromatic number and criticality of each pattern",
     )
     p.add_argument("--family", required=True)
@@ -555,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_criticality)
 
     p = sub.add_parser(
-        "stability", parents=[common],
+        "stability",
         help="minimum-internal-edge partition diagnostics for graphs in a file",
     )
     p.add_argument("--in", dest="infile", required=True, help="graph6 file, or - for stdin")
@@ -564,6 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.1)
     p.add_argument("--cap", type=int, default=14, help="exact-mode order cap")
     p.add_argument("--starts", type=int, default=20, help="local-search restarts")
+    p.add_argument(
+        "--seed", type=int, default=0, help="local-search random seed (default 0)"
+    )
     p.add_argument("--json", help="write the stability report JSON here")
     p.set_defaults(func=_cmd_stability)
 

@@ -7,6 +7,13 @@ contained when there are pairwise vertex-disjoint embeddings of all h
 patterns simultaneously, which the search decides exactly by backtracking
 across patterns (a greedy pattern-at-a-time pass would be wrong).
 
+One recursion, ``_find_disjoint``, does every search across patterns.  The
+through-vertex check runs it with each distinct pattern first and one of
+that pattern's vertices pinned onto the given host vertex.  A pinned copy
+sets no symmetry bound on the equal copies after it: it alone covers the
+vertex, so it is not interchangeable with them, and bounding them could
+discard the only disjoint system.
+
 The embedding search processes pattern vertices by descending degree and
 filters host candidates through bitmask intersection of already-placed
 neighbors, which is what makes the exhaustive searches cheap at desk scale.
@@ -157,32 +164,33 @@ def _find_disjoint(
     host: SimpleGraph,
     family: ForbiddenFamily,
     order: list[int],
-    idx: int,
     allowed: int,
-    prev_min: int,
-    same_as_prev: bool,
     out: dict[int, tuple[int, ...]],
+    pinned: tuple[int, int] | None = None,
+    prev_min: int = -1,
 ) -> bool:
-    if idx == len(order):
+    """Embed the patterns ``order`` names pairwise disjoint inside
+    ``allowed``, recording mappings in ``out``; ``pinned`` applies to the
+    first pattern, and a first copy must start above host vertex ``prev_min``.
+    """
+    if not order:
         return True
-    pat = family[order[idx]]
-    nxt_same = (
-        idx + 1 < len(order)
-        and family[order[idx + 1]].n == pat.n
-        and family[order[idx + 1]].adj == pat.adj
-    )
-    for mapping in _iter_embeddings(host, pat, allowed):
-        if same_as_prev and min(mapping) <= prev_min:
-            # identical patterns: force increasing least vertex across copies
+    fi, rest = order[0], order[1:]
+    pat = family[fi]
+    # a pinned copy is not interchangeable with its equal neighbour
+    bound_next = pinned is None and bool(rest) and family[rest[0]] == pat
+    for mapping in _iter_embeddings(host, pat, allowed, pinned):
+        least = min(mapping)
+        if least <= prev_min:
             continue
         mask = sum(1 << v for v in mapping)
-        out[order[idx]] = mapping
+        out[fi] = mapping
         if _find_disjoint(
-            host, family, order, idx + 1, allowed & ~mask,
-            min(mapping), nxt_same, out,
+            host, family, rest, allowed & ~mask, out,
+            prev_min=least if bound_next else -1,
         ):
             return True
-        del out[order[idx]]
+        del out[fi]
     return False
 
 
@@ -200,7 +208,7 @@ def contains_disjoint_family(host: SimpleGraph, family) -> list[Embedding] | Non
     order = _search_order(fam)
     found: dict[int, tuple[int, ...]] = {}
     allowed = (1 << host.n) - 1
-    if _find_disjoint(host, fam, order, 0, allowed, -1, False, found):
+    if _find_disjoint(host, fam, order, allowed, found):
         return [Embedding(found[i]) for i in range(len(fam))]
     return None
 
@@ -218,21 +226,15 @@ def contains_disjoint_family_through(
         return False
     order = _search_order(fam)
     allowed = (1 << host.n) - 1
-    seen_shapes: set[tuple[int, tuple[int, ...]]] = set()
     for pos, fi in enumerate(order):
-        pat = fam[fi]
-        shape = (pat.n, pat.adj)
-        if shape in seen_shapes:
+        if pos and fam[order[pos - 1]] == fam[fi]:
             continue  # an equal pattern already tried covering the vertex
-        seen_shapes.add(shape)
-        rest = order[:pos] + order[pos + 1:]
-        for pv in range(pat.n):
-            for mapping in _iter_embeddings(host, pat, allowed, pinned=(pv, vertex)):
-                mask = sum(1 << v for v in mapping)
-                if _find_disjoint(
-                    host, fam, rest, 0, allowed & ~mask, -1, False, {}
-                ):
-                    return True
+        pinned_first = [fi] + order[:pos] + order[pos + 1:]
+        for pv in range(fam[fi].n):
+            if _find_disjoint(
+                host, fam, pinned_first, allowed, {}, pinned=(pv, vertex)
+            ):
+                return True
     return False
 
 

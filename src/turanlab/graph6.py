@@ -91,26 +91,28 @@ def decode_graph6(s: str) -> SimpleGraph:
         n = _group_at(s, 0)
         pos = 1
 
-    nbits = n * (n - 1) // 2
-    ngroups = (nbits + 5) // 6
+    end = pos + (n * (n - 1) // 2 + 5) // 6
+    if end > len(s):
+        # a header can declare billions of vertices: reject a short body
+        # before allocating anything of the declared size
+        raise Graph6ParseError("truncated graph6 string", len(s))
     rows = [0] * n
-    bit_index = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for _ in range(ngroups):
-        group = _group_at(s, pos)
-        for b in range(6):
-            bit = (group >> (5 - b)) & 1
-            if bit_index < nbits:
+    i, j = 0, 1  # the next bit is the pair (i, j)
+    for p in range(pos, end):
+        group = _group_at(s, p)
+        for b in range(5, -1, -1):
+            bit = (group >> b) & 1
+            if j < n:
                 if bit:
-                    i, j = pairs[bit_index]
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
+                i += 1
+                if i == j:
+                    i, j = 0, j + 1
             elif bit:
-                raise Graph6ParseError("nonzero padding bits", pos)
-            bit_index += 1
-        pos += 1
-    if pos != len(s):
-        raise Graph6ParseError("trailing data after graph", pos)
+                raise Graph6ParseError("nonzero padding bits", p)
+    if end != len(s):
+        raise Graph6ParseError("trailing data after graph", end)
     return SimpleGraph._from_rows(n, rows)
 
 

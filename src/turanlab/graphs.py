@@ -196,25 +196,19 @@ def turan(n: int, r: int) -> SimpleGraph:
         raise ValueError(f"turan needs n >= 0, got n={n}")
     if n == 0:
         return empty_graph(0)
-    q, rem = divmod(n, r)
-    sizes = [q + 1] * rem + [q] * (r - rem)
-    sizes = [s for s in sizes if s > 0]
-    if not sizes:
-        return empty_graph(n)
-    return complete_multipartite(sizes)
+    parts = min(r, n)  # parts beyond n would be empty
+    q, rem = divmod(n, parts)
+    return complete_multipartite([q + 1] * rem + [q] * (parts - rem))
 
 
 def turan_edge_count(n: int, r: int) -> int:
     """Edge count of T(n, r) without building the graph."""
     if r < 1 or n < 0:
         raise ValueError(f"invalid Turan parameters n={n}, r={r}")
+    # C(n, 2) minus the pairs inside each part; as the part sizes sum to n,
+    # that is (n^2 - sum of squared part sizes) / 2
     q, rem = divmod(n, r)
-    sizes = [q + 1] * rem + [q] * (r - rem)
-    total = 0
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            total += sizes[i] * sizes[j]
-    return total
+    return (n * n - rem * (q + 1) ** 2 - (r - rem) * q * q) // 2
 
 
 # === disjoint union and join ===

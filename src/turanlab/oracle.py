@@ -33,12 +33,14 @@ from .canonical import certificate
 from .containment import (
     ForbiddenFamily,
     as_family,
-    contains_disjoint_family,
     contains_disjoint_family_through,
     is_free,
 )
 from .graph6 import decode_graph6, encode_graph6, json_doc
 from .graphs import SimpleGraph, complete, disjoint_union, turan
+
+# the largest order brute_force_ex accepts without allow_large=True
+HARD_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,6 @@ def brute_force_ex(
     family: ForbiddenFamily | Sequence[SimpleGraph],
     budget: SearchBudget | None = None,
     seeds: Sequence[SimpleGraph] = (),
-    hard_cap: int = 10,
     allow_large: bool = False,
 ) -> ExtremalResult:
     """Exact ex(n, family) with the complete witness list up to isomorphism.
@@ -138,16 +139,16 @@ def brute_force_ex(
     ``seeds`` are caller-supplied n-vertex graphs known to be free; they
     tighten the per-level pruning bound and are re-validated here (a wrong
     seed would silently corrupt the answer, so it raises instead).  Orders
-    above ``hard_cap`` need ``allow_large=True``.  Raises ValueError when no
+    above ``HARD_CAP`` need ``allow_large=True``.  Raises ValueError when no
     graph on n vertices avoids the family, which happens exactly when some
     pattern with no edges fits inside n vertices.
     """
     fam = as_family(family)
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    if n > hard_cap and not allow_large:
+    if n > HARD_CAP and not allow_large:
         raise ValueError(
-            f"n={n} exceeds hard_cap={hard_cap}; pass allow_large=True to force"
+            f"n={n} exceeds HARD_CAP={HARD_CAP}; pass allow_large=True to force"
         )
 
     if fam.total_order > n:
@@ -187,14 +188,8 @@ def brute_force_ex(
             raise BudgetExceededError(over, partial)
 
     total_pairs = comb(n, 2)
-    current: list[SimpleGraph] = []
-    g1 = SimpleGraph(1)
-    if contains_disjoint_family(g1, fam) is None:
-        current = [g1]
-        candidates = 1
-    check_budget()
-
-    for m in range(1, n):
+    current = [SimpleGraph(0)]
+    for m in range(n):
         size = m + 1
         bound = best - (total_pairs - comb(size, 2))
         seen: dict[bytes, SimpleGraph] = {}
@@ -359,7 +354,6 @@ def threshold_scan(
     formula: Callable[[int], int],
     budget: SearchBudget | None = None,
     seeds_provider: Callable[[int], Sequence[SimpleGraph]] | None = None,
-    hard_cap: int = 10,
     allow_large: bool = False,
 ) -> ThresholdReport:
     """Compare a closed-form formula with the exact oracle over n_range.
@@ -375,8 +369,7 @@ def threshold_scan(
         seeds = tuple(seeds_provider(n)) if seeds_provider is not None else ()
         try:
             res = brute_force_ex(
-                n, fam, budget=budget, seeds=seeds,
-                hard_cap=hard_cap, allow_large=allow_large,
+                n, fam, budget=budget, seeds=seeds, allow_large=allow_large
             )
         except BudgetExceededError:
             rows.append(ThresholdRow(n, formula_value, None, None, None))

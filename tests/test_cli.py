@@ -1,12 +1,19 @@
 """End-to-end command tests driven through the argument-list entry point."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from turanlab import decode_graph6, turan, wheel_extremal_graph, encode_graph6
-from turanlab.cli import build_formula, main, parse_family, parse_pattern_token
+from turanlab.cli import (
+    _read_graph_input,
+    build_formula,
+    main,
+    parse_family,
+    parse_pattern_token,
+)
 
 
 class TestParsers:
@@ -50,6 +57,12 @@ class TestExitCodes:
     def test_unknown_pattern_is_usage_error(self, capsys):
         assert main(["brute-force", "--family", "q9", "--n", "4"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_removed_options_are_usage_errors(self, capsys):
+        # the order guard is the oracle's HARD_CAP; --seed belongs to stability
+        argv = ["brute-force", "--family", "k3", "--n", "4", "--hard-cap", "12"]
+        assert main(argv) == 2
+        assert main(["gen", "--kind", "standard", "--spec", "k3", "--seed", "1"]) == 2
 
     def test_malformed_graph6_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.g6"
@@ -256,6 +269,14 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["schema"] == "verify-report/1"
         assert doc["graphs"][0]["free"] is True
+
+    def test_input_file_is_closed(self, tmp_path):
+        graphs = tmp_path / "graphs.g6"
+        graphs.write_text("Bw\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(_read_graph_input(str(graphs))) == 1
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["verify", "--in", "/nonexistent.g6", "--family", "k3"]) == 2

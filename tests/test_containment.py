@@ -134,3 +134,66 @@ class TestThroughVertex:
             assert got == want
             hits += got
         assert hits  # the sample exercises both outcomes
+
+
+def _disjoint_choice(images, need=None, used=frozenset()) -> bool:
+    """True when one vertex set can be taken from each list, pairwise
+    disjoint, with ``need`` (when given) covered by one of them."""
+    if not images:
+        return need is None
+    return any(
+        _disjoint_choice(images[1:], None if need in s else need, used | s)
+        for s in images[0]
+        if not used & s
+    )
+
+
+class TestAgainstNetworkx:
+    """Seeded differential check against networkx monomorphisms, a reference
+    that shares no code with the search under test."""
+
+    def test_random_hosts_and_families(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return h
+
+        pool = [complete(3), path(3), cycle(4), cycle(5), wheel(5), complete(4)]
+        rng = random.Random(47)
+        outcomes = set()
+        for _ in range(150):
+            host = random_graph(rng, rng.randint(3, 8), p=rng.choice([0.3, 0.5, 0.7]))
+            # repeated patterns are drawn often: they take the symmetry bound
+            fam = [rng.choice(pool)]
+            for _ in range(rng.randint(0, 2)):
+                fam.append(fam[-1] if rng.random() < 0.5 else rng.choice(pool))
+            hx = to_nx(host)
+            # the image vertex sets of each pattern in the host
+            images_of = {
+                pat: {
+                    frozenset(m)
+                    for m in GraphMatcher(hx, to_nx(pat)).subgraph_monomorphisms_iter()
+                }
+                for pat in set(fam)
+            }
+            images = [list(images_of[pat]) for pat in fam]
+            contained = _disjoint_choice(images)
+            assert is_free(host, fam) == (not contained)
+            found = contains_disjoint_family(host, fam)
+            if found is not None:
+                assert len(found) == len(fam)
+                used = set()
+                for pat, emb in zip(fam, found):
+                    assert embedding_is_valid(host, pat, emb)
+                    assert not used & emb.vertex_set()
+                    used |= emb.vertex_set()
+            for v in range(host.n):
+                through = _disjoint_choice(images, need=v)
+                assert contains_disjoint_family_through(host, fam, v) == through
+                outcomes.add((contained, through))
+        # the sample reaches every possible pair of outcomes
+        assert outcomes == {(False, False), (True, False), (True, True)}

@@ -1,6 +1,7 @@
 """Round-trip and reference-vector tests for the graph6 codec."""
 
 import random
+import time
 
 import pytest
 
@@ -63,6 +64,31 @@ class TestDecode:
         token = encode_graph6(cycle(5))
         with pytest.raises(Graph6ParseError):
             decode_graph6(token + "www")
+
+    def test_fault_offsets(self):
+        cases = [
+            ("", 0),  # empty
+            ("~", 1),  # truncated header
+            ("\x19", 0),  # bad header byte
+            ("B\x19", 1),  # bad body byte
+            ("DQ", 2),  # truncated body
+            ("Bx", 1),  # nonzero padding
+            ("Bw?", 2),  # trailing data
+        ]
+        for text, offset in cases:
+            with pytest.raises(Graph6ParseError) as err:
+                decode_graph6(text)
+            assert err.value.offset == offset, text
+
+    def test_huge_headers_rejected_before_allocation(self):
+        # "~}~~" declares n = 258047 and "~~~~~~~~" n = 2^36 - 1; the body
+        # length is checked before anything of that size is allocated
+        for header in ("~}~~", "~~~~~~~~"):
+            start = time.perf_counter()
+            with pytest.raises(Graph6ParseError) as err:
+                decode_graph6(header + "???")
+            assert time.perf_counter() - start < 1.0
+            assert err.value.offset == len(header) + 3
 
 
 class TestLines:

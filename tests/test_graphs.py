@@ -129,6 +129,21 @@ class TestBuilders:
     def test_turan_one_part_is_empty(self):
         assert turan(5, 1).edge_count == 0
 
+    def test_turan_edge_count_matches_pair_sum(self):
+        for n in range(41):
+            for r in range(1, 46):
+                q, rem = divmod(n, r)
+                sizes = [q + 1] * rem + [q] * (r - rem)
+                want = 0
+                for i in range(r):
+                    for j in range(i + 1, r):
+                        want += sizes[i] * sizes[j]
+                assert turan_edge_count(n, r) == want, (n, r)
+
+    def test_turan_with_more_parts_than_vertices(self):
+        assert turan_edge_count(5, 10**12) == 10
+        assert turan(5, 10**12) == complete(5)
+
 
 class TestCombinators:
     def test_disjoint_union_blocks(self):
