@@ -50,13 +50,24 @@ from .oracle import (
 from .stability import min_degree_audit, min_internal_partition, structure_audit
 
 
+# the largest order the CLI builds from a number it reads (wN, kN, cN, pN,
+# turan:N,R, gen --n); it bounds allocation and the colouring recursion
+MAX_ORDER = 512
+
+
+def _bounded_order(n: int, what: str) -> int:
+    if n > MAX_ORDER:
+        raise ValueError(f"{what}: order {n} exceeds MAX_ORDER={MAX_ORDER}")
+    return n
+
+
 def parse_pattern_token(token: str) -> SimpleGraph:
     """One family token: wN, kN, cN, pN, or g6:<text>."""
     t = token.strip()
     if t.startswith("g6:"):
         return decode_graph6(t[3:])
     if len(t) >= 2 and t[0] in "wkcp" and t[1:].isdigit():
-        n = int(t[1:])
+        n = _bounded_order(int(t[1:]), f"pattern {t!r}")
         builder = {"w": wheel, "k": complete, "c": cycle, "p": path}[t[0]]
         return builder(n)
     raise ValueError(
@@ -78,34 +89,35 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}")
 
 
-def build_formula(
-    spec: str, family: ForbiddenFamily | None
-) -> Callable[[int], int]:
-    """Resolve a formula spec to a total function of n."""
+def _parse_formula_spec(spec: str) -> tuple[str, list[int]]:
+    """Split a formula spec into its kind and integer arguments, validated."""
     kind, _, arg = spec.partition(":")
-    if kind == "turan":
-        r = int(arg)
-        if r < 1:
-            raise ValueError(f"turan formula needs r >= 1, got {r}")
-        return lambda n: turan_edge_count(n, r)
-    if kind == "wheel":
-        k = int(arg)
-        return lambda n: wheel_extremal_value(n, k).value
     if kind == "wheels":
-        ks = _parse_int_list(arg, "wheels formula ks")
-        return lambda n: union_wheels_value(n, ks).value
-    if kind == "union-turan":
-        r = int(arg)
-        if r < 1:
-            raise ValueError(f"union-turan formula needs r >= 1, got {r}")
-        if family is None:
-            raise ValueError("union-turan formula needs a --family")
-        provider = lambda m, ell: turan_edge_count(m, r)
-        return lambda n: union_extremal_value(n, family, provider).value
-    raise ValueError(
-        f"unrecognized formula {spec!r} (use turan:R, wheel:K, wheels:K1,..., "
-        f"or union-turan:R)"
-    )
+        return kind, _parse_int_list(arg, "wheels formula ks")
+    if kind not in ("turan", "wheel", "union-turan"):
+        raise ValueError(
+            f"unrecognized formula {spec!r} (use turan:R, wheel:K, wheels:K1,..., "
+            f"or union-turan:R)"
+        )
+    value = int(arg)
+    if kind != "wheel" and value < 1:
+        raise ValueError(f"{kind} formula needs r >= 1, got {value}")
+    return kind, [value]
+
+
+def build_formula(spec: str, family: ForbiddenFamily | None) -> Callable[[int], int]:
+    """Resolve a formula spec to a total function of n."""
+    kind, ints = _parse_formula_spec(spec)
+    if kind == "turan":
+        return lambda n: turan_edge_count(n, ints[0])
+    if kind == "wheel":
+        return lambda n: wheel_extremal_value(n, ints[0]).value
+    if kind == "wheels":
+        return lambda n: union_wheels_value(n, ints).value
+    if family is None:
+        raise ValueError("union-turan formula needs a --family")
+    provider = lambda m, ell: turan_edge_count(m, ints[0])
+    return lambda n: union_extremal_value(n, family, provider).value
 
 
 def build_seeds_provider(
@@ -115,37 +127,28 @@ def build_seeds_provider(
 
     Seeding only sharpens the oracle's pruning bound; a candidate that is
     not family-free (or not buildable at this order) is silently dropped.
+    The spec itself is validated once, here.
     """
+    kind, ints = _parse_formula_spec(spec)
 
     def candidates(n: int) -> list[SimpleGraph]:
-        kind, _, arg = spec.partition(":")
-        out: list[SimpleGraph] = []
         if kind == "turan":
-            out.append(turan(n, int(arg)))
-        elif kind == "wheel":
+            return [turan(n, ints[0])]
+        if kind == "union-turan":
+            return [
+                union_extremal_graph(n, ell, turan(n - ell + 1, ints[0]))
+                for ell in range(1, min(len(family), n) + 1)
+            ]
+        out = []
+        for ell, k in enumerate(ints, start=1):
             try:
-                out.append(best_feasible_wheel_graph(n, int(arg)))
+                out.append(best_feasible_wheel_graph(n, k, ell=ell))
             except (ValueError, InfeasibleConstructionError):
                 pass
-        elif kind == "wheels":
-            ks = _parse_int_list(arg, "wheels formula ks")
-            for i, k in enumerate(ks, start=1):
-                try:
-                    out.append(best_feasible_wheel_graph(n, k, ell=i))
-                except (ValueError, InfeasibleConstructionError):
-                    pass
-        elif kind == "union-turan":
-            r = int(arg)
-            for ell in range(1, len(family) + 1):
-                m = n - ell + 1
-                if m >= 1:
-                    out.append(union_extremal_graph(n, ell, turan(m, r)))
         return out
 
     def provide(n: int) -> tuple[SimpleGraph, ...]:
-        return tuple(
-            g for g in candidates(n) if g.n == n and is_free(g, family)
-        )
+        return tuple(g for g in candidates(n) if is_free(g, family))
 
     return provide
 
@@ -182,11 +185,12 @@ def _cmd_gen(args) -> int:
             raise ValueError("gen --kind wheel needs --n and --k")
         if args.k < 3:
             raise ValueError(f"wheel construction needs k >= 3, got {args.k}")
-        recipe = wheel_construction_recipe(args.n, args.k, n0=args.n0, ell=args.ell)
+        n = _bounded_order(args.n, "gen --n")
+        recipe = wheel_construction_recipe(n, args.k, n0=args.n0, ell=args.ell)
         g = build_from_recipe(recipe)
         if args.json:
             _write(args.json, recipe.to_json())
-    elif args.kind == "standard":
+    else:
         if args.spec is None:
             raise ValueError("gen --kind standard needs --spec")
         if args.json:
@@ -196,11 +200,9 @@ def _cmd_gen(args) -> int:
             nr = _parse_int_list(t[len("turan:"):], "turan spec")
             if len(nr) != 2:
                 raise ValueError(f"turan spec needs n,r, got {t!r}")
-            g = turan(nr[0], nr[1])
+            g = turan(_bounded_order(nr[0], f"turan spec {t!r}"), nr[1])
         else:
             g = parse_pattern_token(t)
-    else:
-        raise ValueError(f"unknown gen kind {args.kind!r}")
     line = write_graph6_lines([g])
     sys.stdout.write(line)
     if args.out:
@@ -425,7 +427,6 @@ def _cmd_stability(args) -> int:
             args.r,
             mode=args.mode,
             theta=args.theta,
-            cap=args.cap,
             starts=args.starts,
             seed=args.seed,
         )
@@ -555,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="number of parts")
     p.add_argument("--mode", choices=["exact", "local-search"], default="exact")
     p.add_argument("--theta", type=float, default=0.1)
-    p.add_argument("--cap", type=int, default=14, help="exact-mode order cap")
     p.add_argument("--starts", type=int, default=20, help="local-search restarts")
     p.add_argument(
         "--seed", type=int, default=0, help="local-search random seed (default 0)"

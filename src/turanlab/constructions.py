@@ -12,6 +12,9 @@ n0 side carries a (k-1)-regular (or nearly regular) graph with no path on
 layer is realized here by circulant components whose orders all lie in
 [k, 2k-2]; that order cap alone guarantees the path cannot appear.
 
+A ``ConstructionRecipe`` is four numbers, (n, k, ell, n0); its component
+layout is derived from n0 and k.
+
 The union formula: for a forbidden family F_1, ..., F_h (vertex-critical,
 suitably ordered), the extremal edge count at order n is
 
@@ -30,6 +33,7 @@ graph.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -139,10 +143,6 @@ def _circulant_rows(c: int, distances: Sequence[int]) -> list[int]:
 def _regular_component(c: int, d: int) -> SimpleGraph:
     """A d-regular graph on c vertices when d*c is even, else a graph with
     one vertex of degree d-1 and the rest of degree d (vertex 0 deficient)."""
-    if d >= c:
-        raise InfeasibleConstructionError(
-            f"degree {d} impossible on {c} vertices"
-        )
     if (d * c) % 2 == 0:
         if d % 2 == 0:
             distances = list(range(1, d // 2 + 1))
@@ -160,13 +160,29 @@ def _regular_component(c: int, d: int) -> SimpleGraph:
     return SimpleGraph._from_rows(c, rows)
 
 
-def _layer_layout(sizes: list[int], k: int) -> tuple[tuple[int, bool], ...]:
-    """(order, exactly_regular) per component, the single odd-order component
-    (if any) last: its vertex 0 is the one deficient vertex when the parity
-    demands one."""
-    odd = [s for s in sizes if ((k - 1) * s) % 2 == 1]
-    even = [s for s in sizes if ((k - 1) * s) % 2 == 0]
-    return tuple([(s, True) for s in even] + [(s, False) for s in odd])
+def _layer_layout(n0: int, k: int) -> tuple[tuple[int, bool], ...]:
+    """(order, exactly_regular) per component of the layer on n0 vertices,
+    the single odd-order component (if any) last: its vertex 0 is the one
+    deficient vertex when the parity demands one.  Raises when n0 has no
+    split into component orders in [k, 2k-2]."""
+    if n0 < k:
+        raise InfeasibleConstructionError(
+            f"n0 = {n0} is below the least component order k = {k}"
+        )
+    sizes = _component_orders(n0, k)
+    if sizes is None:
+        raise InfeasibleConstructionError(
+            f"n0 = {n0} has no split into component orders in"
+            f" [{k}, {2 * k - 2}] compatible with degree {k - 1}"
+        )
+    layout = [(s, (k - 1) * s % 2 == 0) for s in sizes]
+    return tuple(sorted(layout, key=lambda entry: not entry[1]))
+
+
+def _path_free_layer(n0: int, k: int) -> SimpleGraph:
+    g = disjoint_union([_regular_component(c, k - 1) for c, _ in _layer_layout(n0, k)])
+    assert g.edge_count == ((k - 1) * n0) // 2
+    return g
 
 
 def path_free_regular_graph(n0: int, k: int) -> SimpleGraph:
@@ -179,20 +195,7 @@ def path_free_regular_graph(n0: int, k: int) -> SimpleGraph:
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k={k}")
-    if n0 < k:
-        raise InfeasibleConstructionError(
-            f"n0 = {n0} is below the least component order k = {k}"
-        )
-    sizes = _component_orders(n0, k)
-    if sizes is None:
-        raise InfeasibleConstructionError(
-            f"n0 = {n0} has no split into component orders in"
-            f" [{k}, {2 * k - 2}] compatible with degree {k - 1}"
-        )
-    parts = [_regular_component(c, k - 1) for c, _ in _layer_layout(sizes, k)]
-    g = disjoint_union(parts)
-    assert g.edge_count == ((k - 1) * n0) // 2
-    return g
+    return _path_free_layer(n0, k)
 
 
 def is_path_free_regular(g: SimpleGraph, k: int) -> bool:
@@ -223,15 +226,19 @@ class ConstructionRecipe:
     """A serializable plan for one extremal construction.
 
     ``ell`` is the size of the dominating clique plus one (ell = 1 means no
-    clique layer); ``n0`` the bipartition size carrying the regular layer;
-    ``component_layout`` lists (order, exactly_regular) per layer component.
+    clique layer); ``n0`` the bipartition size carrying the regular layer.
+    ``component_layout`` is derived from n0 and k: it lists (order,
+    exactly_regular) per layer component.
     """
 
     n: int
     k: int
     ell: int
     n0: int
-    component_layout: tuple[tuple[int, bool], ...]
+
+    @property
+    def component_layout(self) -> tuple[tuple[int, bool], ...]:
+        return _layer_layout(self.n0, self.k)
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,21 +254,37 @@ class ConstructionRecipe:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConstructionRecipe":
+        """Read a recipe, rejecting infeasible parameters and any layout other
+        than the one derived from n0 and k."""
         if data.get("schema") != "construction-recipe/1":
             raise ValueError(f"unknown recipe schema: {data.get('schema')!r}")
-        return cls(
-            n=data["n"],
-            k=data["k"],
-            ell=data["ell"],
-            n0=data["n0"],
-            component_layout=tuple(
-                (entry["order"], entry["regular"])
-                for entry in data["component_layout"]
-            ),
+        recipe = wheel_construction_recipe(
+            data["n"], data["k"], n0=data["n0"], ell=data["ell"]
         )
+        layout = tuple((e["order"], e["regular"]) for e in data["component_layout"])
+        if layout != recipe.component_layout:
+            raise ValueError(f"component_layout {layout} is not the derived one")
+        return recipe
 
     def to_json(self) -> str:
         return json_doc(self.to_json_dict())
+
+
+def _best_n0(m: int, k: int) -> int | None:
+    """The n0 in [k, m-2] with a feasible layer and the largest bracket at
+    inner order m, ties to the larger n0, or None.  The bracket's steps fall
+    by at least 1 per unit of n0, so merging the walks down from its top on
+    both sides visits n0 in ranked order."""
+    if m < k + 2:
+        return None
+    top = min(max(_wheel_bracket_scan(m, k).argmax[-1], k), m - 2)
+    ranked = heapq.merge(
+        range(top, k - 1, -1),
+        range(top + 1, m - 1),
+        key=lambda n0: (_wheel_bracket(m, k, n0), n0),
+        reverse=True,
+    )
+    return next((n0 for n0 in ranked if _component_orders(n0, k) is not None), None)
 
 
 def wheel_construction_recipe(
@@ -289,30 +312,20 @@ def wheel_construction_recipe(
             f"inner order {m} cannot hold a layer of order >= {k}"
             f" plus a two-vertex far side"
         )
-
-    def feasible(cand: int) -> list[int] | None:
-        if cand < k or m - cand < 2:
-            return None
-        return _component_orders(cand, k)
-
-    if n0 is not None:
-        sizes = feasible(n0)
-        if sizes is None:
+    if n0 is None:
+        n0 = _best_n0(m, k)
+        scan = _wheel_bracket_scan(m, k)
+        if n0 is None or _wheel_bracket(m, k, n0) < scan.value:
             raise InfeasibleConstructionError(
-                f"n0 = {n0} infeasible at inner order {m}: needs n0 >= {k},"
-                f" a far side of at least 2, and a valid component split"
+                f"no maximizer of the bracket at order {m} (argmax {scan.argmax})"
+                f" admits a feasible layer for k={k}"
             )
-        return ConstructionRecipe(n, k, ell, n0, _layer_layout(sizes, k))
-
-    scan = _wheel_bracket_scan(m, k)
-    for cand in sorted(scan.argmax, reverse=True):
-        sizes = feasible(cand)
-        if sizes is not None:
-            return ConstructionRecipe(n, k, ell, cand, _layer_layout(sizes, k))
-    raise InfeasibleConstructionError(
-        f"no maximizer of the bracket at order {m} (argmax {scan.argmax})"
-        f" admits a feasible layer for k={k}"
-    )
+    elif n0 < k or m - n0 < 2 or _component_orders(n0, k) is None:
+        raise InfeasibleConstructionError(
+            f"n0 = {n0} infeasible at inner order {m}: needs n0 >= {k},"
+            f" a far side of at least 2, and a valid component split"
+        )
+    return ConstructionRecipe(n, k, ell, n0)
 
 
 def build_from_recipe(recipe: ConstructionRecipe) -> SimpleGraph:
@@ -321,32 +334,15 @@ def build_from_recipe(recipe: ConstructionRecipe) -> SimpleGraph:
     Vertex layout: clique first, then the layer side, then the far side;
     the far side's single edge joins its two lowest-indexed vertices.
     """
-    k, n0 = recipe.k, recipe.n0
-    m = recipe.n - recipe.ell + 1
-    far = m - n0
+    n0 = recipe.n0
+    far = recipe.n - recipe.ell + 1 - n0
     if far < 2:
         raise InfeasibleConstructionError(
             f"far side has {far} vertices, needs at least 2"
         )
-    comps = []
-    for order, regular in recipe.component_layout:
-        comp = _regular_component(order, k - 1)
-        if regular != (comp.degrees().count(k - 1) == order):
-            raise InfeasibleConstructionError(
-                f"component order {order} cannot be realized with"
-                f" regular={regular} at degree {k - 1}"
-            )
-        comps.append(comp)
-    layer = disjoint_union(comps)
-    if layer.n != n0:
-        raise InfeasibleConstructionError(
-            f"component layout covers {layer.n} vertices, n0 = {n0}"
-        )
-    inner = join([layer, SimpleGraph(far)])
+    inner = join([_path_free_layer(n0, recipe.k), SimpleGraph(far)])
     inner = inner.with_edge(n0, n0 + 1)
-    if recipe.ell == 1:
-        return inner
-    return join([complete(recipe.ell - 1), inner])
+    return union_extremal_graph(recipe.n, recipe.ell, inner)
 
 
 def wheel_extremal_graph(n: int, k: int, n0: int | None = None) -> SimpleGraph:
@@ -379,17 +375,12 @@ def best_feasible_wheel_graph(n: int, k: int, ell: int = 1) -> SimpleGraph:
     if ell < 1:
         raise ValueError(f"need ell >= 1, got ell={ell}")
     m = n - ell + 1
-    ranked = sorted(
-        range(k, max(k, m - 1)),
-        key=lambda n0: (_wheel_bracket(m, k, n0), n0),
-        reverse=True,
-    )
-    for n0 in ranked:
-        if _component_orders(n0, k) is not None:
-            return build_from_recipe(wheel_construction_recipe(n, k, n0=n0, ell=ell))
-    raise InfeasibleConstructionError(
-        f"no feasible n0 at inner order {m} for k={k}"
-    )
+    n0 = _best_n0(m, k)
+    if n0 is None:
+        raise InfeasibleConstructionError(
+            f"no feasible n0 at inner order {m} for k={k}"
+        )
+    return build_from_recipe(wheel_construction_recipe(n, k, n0=n0, ell=ell))
 
 
 # === union formulas ===
@@ -434,8 +425,6 @@ def union_extremal_graph(n: int, ell: int, h: SimpleGraph) -> SimpleGraph:
         raise ValueError(
             f"inner graph has {h.n} vertices, expected n - ell + 1 = {n - ell + 1}"
         )
-    if ell == 1:
-        return h
     return join([complete(ell - 1), h])
 
 

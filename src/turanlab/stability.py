@@ -20,9 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .constructions import union_extremal_graph
 from .containment import ForbiddenFamily, as_family, contains_subgraph, is_free
 from .graph6 import json_doc
-from .graphs import SimpleGraph, complete, join
+from .graphs import SimpleGraph
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,10 @@ def w_set(
             if m >> v & 1 and (g.adj[v] & m).bit_count() >= theta * g.n:
                 out.append(v)
     return tuple(sorted(out))
+
+
+# the largest order exact mode accepts: its subset DP holds 2**n entries
+EXACT_CAP = 14
 
 
 def _exact_min_partition(g: SimpleGraph, r: int) -> list[int]:
@@ -192,13 +197,12 @@ def min_internal_partition(
     r: int,
     mode: str = "exact",
     theta: float = 0.1,
-    cap: int = 14,
     starts: int = 20,
     seed: int = 0,
 ) -> PartitionDiagnostics:
     """Partition V(g) into r parts minimizing the internal edge total.
 
-    Exact mode is a subset DP and refuses n > cap; local-search mode runs
+    Exact mode is a subset DP and refuses n > EXACT_CAP; local-search mode runs
     ``starts`` seeded random restarts of the vertex-move descent and keeps
     the best partition found (ties broken by the lexicographically least
     part layout).  Local-search results are always vertex-move optimal but
@@ -209,9 +213,10 @@ def min_internal_partition(
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     if mode == "exact":
-        if g.n > cap:
+        if g.n > EXACT_CAP:
             raise ValueError(
-                f"exact mode caps at n={cap} (got n={g.n}); use mode='local-search'"
+                f"exact mode caps at n={EXACT_CAP} (got n={g.n});"
+                " use mode='local-search'"
             )
         masks = _exact_min_partition(g, r)
     elif mode == "local-search":
@@ -318,7 +323,7 @@ def structure_audit(
     others = [v for v in range(g.n) if v not in clique]
     inner = g.induced(others)
 
-    rebuilt = join([complete(q), inner]) if q else inner
+    rebuilt = union_extremal_graph(g.n, ell, inner)
     perm = [0] * g.n
     for new, old in enumerate(list(clique) + others):
         perm[old] = new

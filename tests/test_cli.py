@@ -1,15 +1,18 @@
 """End-to-end command tests driven through the argument-list entry point."""
 
 import json
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from turanlab import decode_graph6, turan, wheel_extremal_graph, encode_graph6
+from turanlab import decode_graph6, is_free, turan, wheel_extremal_graph, encode_graph6
 from turanlab.cli import (
+    MAX_ORDER,
     _read_graph_input,
     build_formula,
+    build_seeds_provider,
     main,
     parse_family,
     parse_pattern_token,
@@ -46,6 +49,28 @@ class TestParsers:
             build_formula("union-turan:2", None)
 
 
+class TestSeedsProvider:
+    def test_union_turan_seeds_every_layer(self):
+        seeds = build_seeds_provider("union-turan:2", parse_family("k3,k3"))(9)
+        assert sorted(g.edge_count for g in seeds) == [20, 24]
+
+    def test_wheel_seed_falls_back_to_a_feasible_layer(self):
+        # no bracket maximizer at n = 9 has a layer; the fallback gives 25 edges
+        seeds = build_seeds_provider("wheel:3", parse_family("w7"))(9)
+        assert [g.edge_count for g in seeds] == [25]
+
+    def test_seeds_are_free_and_of_order_n(self):
+        for spec, fam in (("wheels:3,2", parse_family("w7,w5")),
+                          ("turan:2", parse_family("k3"))):
+            seeds = build_seeds_provider(spec, fam)(9)
+            assert seeds
+            assert all(g.n == 9 and is_free(g, fam) for g in seeds)
+
+    def test_unknown_kind_raises_when_built(self):
+        with pytest.raises(ValueError, match="unrecognized formula"):
+            build_seeds_provider("zeta:3", parse_family("k3"))
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -63,6 +88,31 @@ class TestExitCodes:
         argv = ["brute-force", "--family", "k3", "--n", "4", "--hard-cap", "12"]
         assert main(argv) == 2
         assert main(["gen", "--kind", "standard", "--spec", "k3", "--seed", "1"]) == 2
+        # exact mode's order cap is the stability module's EXACT_CAP
+        assert main(["stability", "--in", "-", "--r", "2", "--cap", "20"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["brute-force", "--family", "k100000", "--n", "5"],
+            ["criticality", "--family", "c100000"],
+            ["criticality", "--family", "c1001"],
+            ["gen", "--kind", "standard", "--spec", "turan:100000,2"],
+            ["gen", "--kind", "wheel", "--n", "100000", "--k", "3"],
+        ],
+    )
+    def test_orders_above_max_order_are_usage_errors(self, argv, capsys):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"exceeds MAX_ORDER={MAX_ORDER}" in err
+
+    def test_max_order_itself_is_accepted(self):
+        assert parse_pattern_token(f"c{MAX_ORDER}").n == MAX_ORDER
+        with pytest.raises(ValueError, match="MAX_ORDER"):
+            parse_pattern_token(f"p{MAX_ORDER + 1}")
 
     def test_malformed_graph6_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.g6"

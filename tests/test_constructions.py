@@ -168,6 +168,19 @@ class TestRecipes:
         recipe = wheel_construction_recipe(14, 3)
         assert build_from_recipe(recipe).edge_count == 57
 
+    def test_mismatched_layout_is_rejected(self):
+        # the layout is derived from n0 and k; JSON must carry that one
+        doc = wheel_construction_recipe(30, 4).to_json_dict()
+        orders = [entry["order"] for entry in doc["component_layout"]]
+        assert orders == [6, 6, 4]
+        for layout in (
+            doc["component_layout"][::-1],
+            [{**entry, "regular": False} for entry in doc["component_layout"]],
+            doc["component_layout"][:2],
+        ):
+            with pytest.raises(ValueError, match="component_layout"):
+                ConstructionRecipe.from_json_dict({**doc, "component_layout": layout})
+
     def test_clique_layer_parameter(self):
         # ell-1 dominating clique vertices sit in front of the inner block
         recipe = wheel_construction_recipe(21, 3, ell=2)
@@ -175,6 +188,50 @@ class TestRecipes:
         assert g.n == 21
         assert g.degree(0) == 20
         assert g.edge_count == 20 + wheel_extremal_value(20, 3).value
+
+
+def buildable_layers(k: int, top: int) -> set[int]:
+    """Every n0 < top whose path-free layer can be built."""
+    out = set()
+    for n0 in range(top):
+        try:
+            path_free_regular_graph(n0, k)
+        except InfeasibleConstructionError:
+            continue
+        out.add(n0)
+    return out
+
+
+class TestN0Choice:
+    def test_matches_plain_reference(self):
+        # reference: the largest (bracket, n0) over n0 with a buildable layer
+        # and a far side of at least two vertices
+        for k in range(3, 9):
+            buildable = buildable_layers(k, 100)
+            for n in range(1, 100):
+                for ell in (1, 2, 3):
+                    m = n - ell + 1
+                    keys = [
+                        (n0 * (m - n0) + ((k - 1) * n0) // 2 + 1, n0)
+                        for n0 in range(m - 1)
+                        if n0 in buildable
+                    ]
+                    if not keys:
+                        with pytest.raises(InfeasibleConstructionError):
+                            best_feasible_wheel_graph(n, k, ell)
+                        continue
+                    bracket, n0 = max(keys)
+                    g = best_feasible_wheel_graph(n, k, ell)
+                    assert g == build_from_recipe(
+                        wheel_construction_recipe(n, k, n0=n0, ell=ell)
+                    )
+                    layered = (ell - 1) * (ell - 2) // 2 + (ell - 1) * m
+                    assert g.edge_count == layered + bracket
+                    if bracket == wheel_extremal_value(m, k).value:
+                        assert wheel_construction_recipe(n, k, ell=ell).n0 == n0
+                    else:
+                        with pytest.raises(InfeasibleConstructionError):
+                            wheel_construction_recipe(n, k, ell=ell)
 
 
 class TestUnionFormula:

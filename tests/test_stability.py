@@ -68,7 +68,7 @@ class TestMinInternalPartition:
     def test_exact_cap(self):
         g = SimpleGraph(15)
         with pytest.raises(ValueError, match="local-search"):
-            min_internal_partition(g, 2, mode="exact", cap=14)
+            min_internal_partition(g, 2, mode="exact")
 
     def test_json_shape(self):
         diag = min_internal_partition(cycle(5), 2)
