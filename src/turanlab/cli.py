@@ -6,14 +6,16 @@ that tripped the budget are reported as unknown and also yield exit 3).
 
 Family specs are comma-separated pattern tokens, order significant:
 ``wN`` wheel, ``kN`` complete, ``cN`` cycle, ``pN`` path, ``g6:<text>`` a
-graph6 literal.  Formula specs: ``turan:R``, ``wheel:K``,
-``wheels:K1,K2,...`` (descending), ``union-turan:R`` (layered formula over
-the given family with Turan inner values).
+graph6 literal.  Formula specs, one grammar for ``ex-formula --formula`` and
+``scan --formula``: ``turan:R``, ``wheel:K``, ``wheels:K1,K2,...``
+(descending), ``union-turan:R`` (layered formula over the given family with
+Turan inner values; ``scan`` only, as ``ex-formula`` takes no family).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Sequence
 
@@ -51,7 +53,7 @@ from .stability import min_degree_audit, min_internal_partition, structure_audit
 
 
 # the largest order the CLI builds from a number it reads (wN, kN, cN, pN,
-# turan:N,R, gen --n); it bounds allocation and the colouring recursion
+# turan:N,R, gen --n, stability --r); it bounds allocation and recursion
 MAX_ORDER = 512
 
 
@@ -75,11 +77,16 @@ def parse_pattern_token(token: str) -> SimpleGraph:
     )
 
 
-def parse_family(spec: str) -> ForbiddenFamily:
-    tokens = [t for t in spec.split(",") if t.strip()]
+def _family_tokens(spec: str) -> list[str]:
+    """The stripped, non-empty tokens of a family spec, in order."""
+    tokens = [t.strip() for t in spec.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty family spec")
-    return ForbiddenFamily([parse_pattern_token(t) for t in tokens])
+    return tokens
+
+
+def parse_family(spec: str) -> ForbiddenFamily:
+    return ForbiddenFamily([parse_pattern_token(t) for t in _family_tokens(spec)])
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -211,57 +218,42 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ex_formula(args) -> int:
-    chosen = [x for x in (args.wheel_k, args.wheels, args.turan_r) if x is not None]
-    if len(chosen) != 1:
-        raise ValueError("pick exactly one of --wheel-k, --wheels, --turan-r")
-    lines: list[str]
-    if args.wheel_k is not None:
-        fv = wheel_extremal_value(args.n, args.wheel_k)
-        lines = [
-            f"value {fv.value}",
-            "argmax n0: " + ", ".join(str(x) for x in fv.argmax),
-        ]
-        doc = {
-            "schema": "formula-value/1",
-            "formula": f"wheel:{args.wheel_k}",
-            "n": args.n,
-            "value": fv.value,
-            "argmax": list(fv.argmax),
-        }
-    elif args.wheels is not None:
-        ks = _parse_int_list(args.wheels, "--wheels")
-        uw = union_wheels_value(args.n, ks)
-        lines = [
-            f"value {uw.value}",
+    kind, ints = _parse_formula_spec(args.formula)
+    doc = {
+        "schema": "formula-value/1",
+        "formula": f"{kind}:{','.join(str(x) for x in ints)}",
+        "n": args.n,
+    }
+    if kind == "wheel":
+        fv = wheel_extremal_value(args.n, ints[0])
+        notes = ["argmax n0: " + ", ".join(str(x) for x in fv.argmax)]
+        doc.update(value=fv.value, argmax=list(fv.argmax))
+    elif kind == "wheels":
+        uw = union_wheels_value(args.n, ints)
+        notes = [
             "argmax (i, n0): " + ", ".join(f"({i}, {n0})" for i, n0 in uw.argmax),
             "per-index argmax l: "
             + ", ".join(str(x) for x in uw.per_index.argmax),
         ]
         if uw.flagged_ks:
-            lines.append(
+            notes.append(
                 "note: entries with k < 3 have no closed-form backing: "
                 + ", ".join(str(k) for k in uw.flagged_ks)
             )
-        doc = {
-            "schema": "formula-value/1",
-            "formula": f"wheels:{','.join(str(k) for k in ks)}",
-            "n": args.n,
-            "value": uw.value,
-            "argmax": [list(p) for p in uw.argmax],
-            "per_index_argmax": list(uw.per_index.argmax),
-            "flagged_ks": list(uw.flagged_ks),
-        }
+        doc.update(
+            value=uw.value,
+            argmax=[list(p) for p in uw.argmax],
+            per_index_argmax=list(uw.per_index.argmax),
+            flagged_ks=list(uw.flagged_ks),
+        )
+    elif kind == "turan":
+        notes = []
+        doc.update(value=turan_edge_count(args.n, ints[0]), argmax=[])
     else:
-        value = turan_edge_count(args.n, args.turan_r)
-        lines = [f"value {value}"]
-        doc = {
-            "schema": "formula-value/1",
-            "formula": f"turan:{args.turan_r}",
-            "n": args.n,
-            "value": value,
-            "argmax": [],
-        }
-    sys.stdout.write("\n".join(lines) + "\n")
+        raise ValueError(
+            f"ex-formula takes no family; scan --family evaluates {args.formula!r}"
+        )
+    sys.stdout.write("\n".join([f"value {doc['value']}"] + notes) + "\n")
     if args.json:
         _write(args.json, json_doc(doc))
     return 0
@@ -306,14 +298,12 @@ def _cmd_scan(args) -> int:
     family = parse_family(args.family)
     if args.n_to < args.n_from:
         raise ValueError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
-    formula = build_formula(args.formula, family)
-    seeds = None if args.no_seeds else build_seeds_provider(args.formula, family)
     report = threshold_scan(
         family,
         range(args.n_from, args.n_to + 1),
-        formula,
+        build_formula(args.formula, family),
         budget=_budget(args),
-        seeds_provider=seeds,
+        seeds_provider=build_seeds_provider(args.formula, family),
         allow_large=args.allow_large,
     )
     sys.stdout.write(report.to_text())
@@ -327,6 +317,8 @@ def _cmd_verify(args) -> int:
     graphs = _read_graph_input(args.infile)
     budget = _budget(args)
 
+    # one oracle run per (m, ell); a run that raises is not cached
+    @functools.cache
     def provider(m: int, ell: int) -> int:
         return brute_force_ex(
             m,
@@ -385,12 +377,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_criticality(args) -> int:
-    tokens = [t.strip() for t in args.family.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("empty family spec")
     records = []
     lines = []
-    for token in tokens:
+    for token in _family_tokens(args.family):
         g = parse_pattern_token(token)
         rep = criticality(g)
         vw = (
@@ -419,6 +408,8 @@ def _cmd_criticality(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    if args.r > MAX_ORDER:
+        raise ValueError(f"stability --r: {args.r} parts exceed MAX_ORDER={MAX_ORDER}")
     graphs = _read_graph_input(args.infile)
     docs = []
     for idx, g in enumerate(graphs, start=1):
@@ -496,9 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a closed-form extremal edge count",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--wheel-k", type=int, default=None, help="single odd wheel, parameter k")
-    p.add_argument("--wheels", default=None, help="descending k list, e.g. 3,3,2")
-    p.add_argument("--turan-r", type=int, default=None, help="Turan graph edge count")
+    p.add_argument("--formula", required=True, help="turan:R | wheel:K | wheels:KS")
     p.add_argument("--json", help="write the value and argmax as JSON here")
     p.set_defaults(func=_cmd_ex_formula)
 
@@ -524,10 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True, help="turan:R | wheel:K | wheels:KS | union-turan:R")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
-    p.add_argument(
-        "--no-seeds", action="store_true",
-        help="disable construction seeding of the oracle",
-    )
     p.add_argument("--json", help="write the threshold report JSON here")
     p.set_defaults(func=_cmd_scan)
 

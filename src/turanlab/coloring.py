@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from .graphs import SimpleGraph, bits
 
 
-def _greedy_clique_bound(g: SimpleGraph) -> int:
-    """Size of a greedily grown clique; a valid lower bound for chi."""
+def _greedy_clique_bound(g: SimpleGraph, cap: int) -> int:
+    """Size of a greedily grown clique; a valid lower bound for chi.  Stops
+    at ``cap``, an upper bound for chi that no clique exceeds."""
     best = 1 if g.n else 0
     order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
     for start in order:
@@ -36,6 +37,8 @@ def _greedy_clique_bound(g: SimpleGraph) -> int:
             clique.append(pick)
             cand &= g.adj[pick]
         best = max(best, len(clique))
+        if best >= cap:
+            break
     return best
 
 
@@ -100,8 +103,8 @@ def chromatic_number(g: SimpleGraph) -> int:
         return 0
     if g.edge_count == 0:
         return 1
-    low = max(2, _greedy_clique_bound(g))
     high = _greedy_coloring_bound(g)
+    low = max(2, _greedy_clique_bound(g, high))
     for k in range(low, high):
         if is_k_colorable(g, k):
             return k

@@ -390,6 +390,11 @@ ExProvider = Callable[[int, int], int]
 """Provider signature: (order m, one-based family index l) -> ex(m, F_l)."""
 
 
+def _layered_term(ell: int, m: int, inner: int) -> int:
+    """Edges of K_{ell-1} joined to a graph on m vertices and inner edges."""
+    return (ell - 1) * (ell - 2) // 2 + (ell - 1) * m + inner
+
+
 def union_extremal_value(
     n: int, family: ForbiddenFamily | Sequence[SimpleGraph], ex_provider: ExProvider
 ) -> FormulaValue:
@@ -405,7 +410,7 @@ def union_extremal_value(
         m = n - ell + 1
         if m < 1:
             continue
-        terms[ell] = (ell - 1) * (ell - 2) // 2 + (ell - 1) * m + ex_provider(m, ell)
+        terms[ell] = _layered_term(ell, m, ex_provider(m, ell))
     if not terms:
         raise ValueError(f"no valid layer count l at n={n} for h={h}")
     best = max(terms.values())
@@ -469,9 +474,7 @@ def union_wheels_value(n: int, ks: Sequence[int]) -> UnionWheelsValue:
         if m < 1:
             break
         scan = _wheel_bracket_scan(m, k)
-        terms[i] = FormulaValue(
-            (i - 1) * (i - 2) // 2 + (i - 1) * m + scan.value, scan.argmax
-        )
+        terms[i] = FormulaValue(_layered_term(i, m, scan.value), scan.argmax)
     best = max(t.value for t in terms.values())
     top = [i for i, t in terms.items() if t.value == best]
     return UnionWheelsValue(

@@ -104,9 +104,12 @@ def _exact_min_partition(g: SimpleGraph, r: int) -> list[int]:
     Subset DP: split off one part at a time.  Each chosen part must contain
     the lowest remaining vertex, which halves the submask work without
     losing any unordered partition.  Ties prefer the numerically smallest
-    part mask, so the result is deterministic.
+    part mask, so the result is deterministic.  Parts beyond the order are
+    empty, so the DP splits into min(r, n) parts (at least one) and the
+    r - min(r, n) empty parts come first.
     """
     n = g.n
+    k = min(r, max(n, 1))
     full = (1 << n) - 1
     esub = [0] * (1 << n)
     adj = g.adj
@@ -118,7 +121,7 @@ def _exact_min_partition(g: SimpleGraph, r: int) -> list[int]:
 
     prev = esub[:]
     choices: list[list[int]] = []
-    for _ in range(r - 1):
+    for _ in range(k - 1):
         cur = [0] * (1 << n)
         ch = [0] * (1 << n)
         for s in range(1, 1 << n):
@@ -145,6 +148,7 @@ def _exact_min_partition(g: SimpleGraph, r: int) -> list[int]:
         masks.append(part)
         s ^= part
     masks.append(s)
+    masks += [0] * (r - k)
     masks.reverse()
     return masks
 

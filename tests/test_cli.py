@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from turanlab import decode_graph6, is_free, turan, wheel_extremal_graph, encode_graph6
+import turanlab.cli
+from turanlab import (
+    brute_force_ex,
+    build_from_recipe,
+    decode_graph6,
+    encode_graph6,
+    is_free,
+    turan,
+    wheel_construction_recipe,
+    wheel_extremal_graph,
+    write_graph6_lines,
+)
 from turanlab.cli import (
     MAX_ORDER,
     _read_graph_input,
@@ -90,6 +101,13 @@ class TestExitCodes:
         assert main(["gen", "--kind", "standard", "--spec", "k3", "--seed", "1"]) == 2
         # exact mode's order cap is the stability module's EXACT_CAP
         assert main(["stability", "--in", "-", "--r", "2", "--cap", "20"]) == 2
+        # ex-formula reads one --formula spec; scan always seeds the oracle
+        for old in (["--wheel-k", "3"], ["--wheels", "3,2"], ["--turan-r", "2"]):
+            argv = ["ex-formula", "--formula", "wheel:3", "--n", "20"] + old
+            assert main(argv) == 2
+        argv = ["scan", "--family", "k3", "--formula", "turan:2", "--n-from", "3",
+                "--n-to", "4", "--no-seeds"]
+        assert main(argv) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -144,29 +162,65 @@ class TestExitCodes:
         doc = json.loads(out.read_text())
         assert doc["exhaustive"] is False
 
+    def test_budget_seconds_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "partial.json"
+        argv = ["brute-force", "--family", "k3", "--n", "10", "--budget-seconds",
+                "0.01", "--json", str(out)]
+        assert main(argv) == 3
+        assert "time cap" in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert doc["exhaustive"] is False
+
+    def test_allow_large_lifts_the_order_guard(self, capsys):
+        argv = ["brute-force", "--family", "k12", "--n", "11"]
+        assert main(argv) == 2
+        assert "HARD_CAP" in capsys.readouterr().err
+        assert main(argv + ["--allow-large"]) == 0
+        assert "ex 55" in capsys.readouterr().out
+
 
 class TestExFormula:
     def test_wheel_reference_invocation(self, capsys):
-        assert main(["ex-formula", "--wheel-k", "3", "--n", "20"]) == 0
+        assert main(["ex-formula", "--formula", "wheel:3", "--n", "20"]) == 0
         out = capsys.readouterr().out
         assert "value 111" in out
         assert "argmax n0: 10, 11" in out
 
     def test_wheels_flags_small_k(self, capsys):
-        assert main(["ex-formula", "--wheels", "3,2", "--n", "24"]) == 0
+        assert main(["ex-formula", "--formula", "wheels:3,2", "--n", "24"]) == 0
         out = capsys.readouterr().out
         assert "value 162" in out
         assert "(2, 13)" in out
 
     def test_exactly_one_formula_required(self, capsys):
         assert main(["ex-formula", "--n", "20"]) == 2
-        assert (
-            main(["ex-formula", "--n", "20", "--wheel-k", "3", "--turan-r", "2"]) == 2
-        )
+        assert "--formula" in capsys.readouterr().err
+
+    def test_turan_value_and_json(self, tmp_path, capsys):
+        out = tmp_path / "value.json"
+        assert main(["ex-formula", "--formula", "turan:2", "--n", "9",
+                     "--json", str(out)]) == 0
+        assert capsys.readouterr().out == "value 20\n"
+        doc = json.loads(out.read_text())
+        assert (doc["formula"], doc["value"], doc["argmax"]) == ("turan:2", 20, [])
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("union-turan:2", "scan --family evaluates 'union-turan:2'"),
+            ("turan:0", "turan formula needs r >= 1, got 0"),
+            ("zeta:3", "unrecognized formula"),
+        ],
+    )
+    def test_specs_ex_formula_cannot_evaluate(self, spec, message, capsys):
+        assert main(["ex-formula", "--formula", spec, "--n", "9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
     def test_json_artifact(self, tmp_path):
         out = tmp_path / "value.json"
-        main(["ex-formula", "--wheel-k", "3", "--n", "20", "--json", str(out)])
+        main(["ex-formula", "--formula", "wheel:3", "--n", "20", "--json", str(out)])
         doc = json.loads(out.read_text())
         assert doc["schema"] == "formula-value/1"
         assert doc["value"] == 111
@@ -220,6 +274,14 @@ class TestGen:
         assert main(["gen", "--kind", "standard", "--spec", "turan:9,3"]) == 0
         g = decode_graph6(capsys.readouterr().out.strip())
         assert g == turan(9, 3)
+
+    def test_n0_and_ell_overrides(self, capsys):
+        argv = ["gen", "--kind", "wheel", "--n", "20", "--k", "3", "--n0", "8",
+                "--ell", "2"]
+        assert main(argv) == 0
+        recipe = wheel_construction_recipe(20, 3, n0=8, ell=2)
+        expected = write_graph6_lines([build_from_recipe(recipe)])
+        assert capsys.readouterr().out == expected
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         path = tmp_path / "g.g6"
@@ -331,6 +393,30 @@ class TestVerify:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["verify", "--in", "/nonexistent.g6", "--family", "k3"]) == 2
 
+    def test_inner_oracle_runs_once_per_order(self, tmp_path, monkeypatch, capsys):
+        # three of the four witnesses of ex(6, C4) have no universal vertex,
+        # so each of them needs ex(6, C4) from the oracle
+        witnesses = brute_force_ex(6, parse_family("c4")).witnesses
+        graphs = tmp_path / "graphs.g6"
+        graphs.write_text(write_graph6_lines(witnesses))
+        calls = []
+
+        def counting(n, family, **kwargs):
+            calls.append(n)
+            return brute_force_ex(n, family, **kwargs)
+
+        monkeypatch.setattr(turanlab.cli, "brute_force_ex", counting)
+        assert main(["verify", "--in", str(graphs), "--family", "c4"]) == 0
+        assert calls == [6]
+        assert capsys.readouterr().out.count("structure pass") == 3
+        # a run that trips its budget is not cached: each graph reports it
+        calls.clear()
+        argv = ["verify", "--in", str(graphs), "--family", "c4",
+                "--budget-candidates", "1"]
+        assert main(argv) == 0
+        assert calls == [6, 6, 6]
+        assert capsys.readouterr().out.count("structure unknown (candidate cap") == 3
+
 
 class TestCriticality:
     def test_table_lines(self, capsys):
@@ -339,6 +425,13 @@ class TestCriticality:
         assert lines[0] == "w7: chi 3, vertex-critical yes (vertex 0), edge-critical no"
         assert "chi 4" in lines[1] and "edge-critical yes" in lines[1]
         assert "k4: chi 4" in lines[2]
+
+    def test_complete_graph_at_max_order(self, capsys):
+        assert main(["criticality", "--family", f"k{MAX_ORDER}"]) == 0
+        assert capsys.readouterr().out == (
+            f"k{MAX_ORDER}: chi {MAX_ORDER}, vertex-critical yes (vertex 0),"
+            " edge-critical yes (edge 0-1)\n"
+        )
 
 
 class TestStability:
@@ -350,6 +443,17 @@ class TestStability:
         out = capsys.readouterr().out
         assert "internal edges 0" in out
         assert "min-degree audit (r=3, theta 0.1): pass" in out
+
+    def test_parts_above_max_order_are_usage_errors(self, tmp_path, capsys):
+        graphs = tmp_path / "graphs.g6"
+        graphs.write_text(encode_graph6(turan(9, 3)) + "\n")
+        argv = ["stability", "--in", str(graphs), "--r"]
+        assert main(argv + [str(MAX_ORDER + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"exceed MAX_ORDER={MAX_ORDER}" in err
+        assert main(argv + [str(MAX_ORDER)]) == 0
+        assert f"part {MAX_ORDER}: 0\n" in capsys.readouterr().out
 
     def test_local_search_mode_with_seed(self, tmp_path, capsys):
         graphs = tmp_path / "graphs.g6"
@@ -395,8 +499,8 @@ class TestGolden:
     @pytest.mark.parametrize(
         "name, argv",
         [
-            ("wheels", ["ex-formula", "--wheels", "3,2", "--n", "24"]),
-            ("wheel", ["ex-formula", "--wheel-k", "3", "--n", "20"]),
+            ("wheels", ["ex-formula", "--formula", "wheels:3,2", "--n", "24"]),
+            ("wheel", ["ex-formula", "--formula", "wheel:3", "--n", "20"]),
             ("brute_force", ["brute-force", "--family", "k3,k3", "--n", "6"]),
             (
                 "scan",

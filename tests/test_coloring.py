@@ -1,6 +1,9 @@
 """Exact chromatic number and criticality classification tests."""
 
+import itertools
 import random
+
+import pytest
 
 from turanlab import (
     SimpleGraph,
@@ -55,6 +58,31 @@ class TestChromaticNumber:
             chi = chromatic_number(g)
             assert is_k_colorable(g, chi)
             assert chi == 1 or not is_k_colorable(g, chi - 1)
+
+
+def reference_chromatic_number(g: SimpleGraph) -> int:
+    """The least k with a proper colouring, trying every map to k colours."""
+    edges = list(g.edges())
+    k = 0
+    while not any(
+        all(col[u] != col[v] for u, v in edges)
+        for col in itertools.product(range(k), repeat=g.n)
+    ):
+        k += 1
+    return k
+
+
+class TestAgainstReference:
+    def test_atlas_graphs_up_to_six_vertices(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [
+            SimpleGraph(h.number_of_nodes(), h.edges())
+            for h in nx.graph_atlas_g()
+            if h.number_of_nodes() <= 6
+        ]
+        assert len(graphs) == 209
+        for g in graphs:
+            assert chromatic_number(g) == reference_chromatic_number(g)
 
 
 class TestCriticality:

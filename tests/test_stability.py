@@ -38,6 +38,17 @@ class TestMinInternalPartition:
     def test_odd_cycle_needs_one(self):
         assert min_internal_partition(cycle(5), 2).internal_edges == 1
 
+    def test_parts_beyond_the_order_are_empty_and_first(self):
+        # the DP splits into n singletons; the other r - n parts lead, empty
+        for g, r in ((cycle(5), 8), (complete(3), 3), (SimpleGraph(0), 2)):
+            diag = min_internal_partition(g, r)
+            singletons = tuple((v,) for v in reversed(range(g.n)))
+            assert diag.parts == ((),) * (r - g.n) + singletons
+            assert diag.internal_edges == 0
+        # r far above n costs no more DP levels than r = n
+        diag = min_internal_partition(cycle(10), 1000)
+        assert diag.parts[:990] == ((),) * 990 and diag.internal_edges == 0
+
     def test_clique_floor(self):
         # K_4 in two parts keeps at least two inside edges
         assert min_internal_partition(complete(4), 2).internal_edges == 2
