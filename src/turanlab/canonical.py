@@ -1,7 +1,8 @@
 """Exact canonical forms for small graphs.
 
 ``certificate`` returns a byte string that is identical for two graphs if and
-only if they are isomorphic.  It is computed by equitable refinement plus
+only if they are isomorphic; ``canonical_form`` also returns the graph
+relabeled into the order that certificate packs.  It is computed by equitable refinement plus
 individualization: starting from the degree partition, the partition is
 refined until equitable; when it is not yet discrete, each vertex of the first
 smallest cell is individualized in turn and the search recurses, keeping the
@@ -76,12 +77,12 @@ def _leaf_bytes(n: int, adj: tuple[int, ...], order: list[int]) -> bytes:
     return bytes(out)
 
 
-def certificate(g: SimpleGraph) -> bytes:
-    """Canonical certificate: equal certificates iff isomorphic graphs."""
+def _canonical_order(g: SimpleGraph) -> tuple[bytes, list[int]]:
+    """The certificate and the vertex order whose upper triangle it packs."""
     n = g.n
     adj = g.adj
     if n <= 1:
-        return _leaf_bytes(n, adj, list(range(n)))
+        return _leaf_bytes(n, adj, list(range(n))), list(range(n))
 
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
@@ -142,7 +143,26 @@ def certificate(g: SimpleGraph) -> bytes:
 
     search(initial, ())
     assert best[0] is not None
-    return best[0]
+    return best[0], best_order[0]
+
+
+def certificate(g: SimpleGraph) -> bytes:
+    """Canonical certificate: equal certificates iff isomorphic graphs."""
+    return _canonical_order(g)[0]
+
+
+def canonical_form(g: SimpleGraph) -> tuple[bytes, SimpleGraph]:
+    """The certificate and ``g`` relabeled into the order that produced it.
+
+    Vertex p of the graph is the p-th vertex of that order, so its packed
+    upper triangle is the certificate: isomorphic inputs give equal graphs,
+    not just equal bytes.
+    """
+    cert, order = _canonical_order(g)
+    perm = [0] * g.n
+    for p, v in enumerate(order):
+        perm[v] = p
+    return cert, g.relabel(perm)
 
 
 def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .canonical import certificate
+from .canonical import canonical_form, certificate
 from .containment import (
     ForbiddenFamily,
     as_family,
@@ -62,7 +62,8 @@ class ExtremalResult:
     """Outcome of an extremal computation.
 
     ``witnesses`` lists the extremal graphs up to isomorphism, sorted by
-    canonical certificate.  ``exhaustive`` is False only on partial results
+    canonical certificate, each in its canonical labeling (``canonical_form``),
+    so their bytes depend only on the isomorphism class.  ``exhaustive`` is False only on partial results
     attached to a budget error, where ``ex_value`` is just the best known
     lower bound (-1 when no free graph on n vertices has been seen) and
     ``witnesses`` is empty.  ``candidates`` counts isomorphism classes
@@ -215,7 +216,7 @@ def brute_force_ex(
     top = max(g.edge_count for g in current)
     ex_value = max(best, top)
     witnesses = tuple(
-        g for g in current if g.edge_count == ex_value
+        canonical_form(g)[1] for g in current if g.edge_count == ex_value
     )
     assert witnesses, "a validated seed must be rediscovered at the top level"
     return ExtremalResult(n, fam, ex_value, witnesses, True, candidates)
@@ -278,7 +279,7 @@ def labeled_filter_ex(
         cert = certificate(g)
         if cert not in classes:
             classes[cert] = g
-    witnesses = tuple(classes[c] for c in sorted(classes))
+    witnesses = tuple(canonical_form(classes[c])[1] for c in sorted(classes))
     return ExtremalResult(n, fam, ex_value, witnesses, True, int(free.sum()))
 
 

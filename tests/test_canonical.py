@@ -6,6 +6,7 @@ import pytest
 
 from turanlab import (
     SimpleGraph,
+    canonical_form,
     certificate,
     complete,
     complete_multipartite,
@@ -72,6 +73,32 @@ class TestCertificate:
 
     def test_distinct_orders_distinct(self):
         assert certificate(SimpleGraph(3)) != certificate(SimpleGraph(4))
+
+
+def unpack_certificate(cert: bytes) -> SimpleGraph:
+    """The graph whose row-major upper triangle the certificate packs."""
+    n = int.from_bytes(cert[:4], "big")
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    body = int.from_bytes(cert[4:], "big")
+    width = 8 * (len(cert) - 4)
+    return SimpleGraph(
+        n, [pq for i, pq in enumerate(pairs) if body >> (width - 1 - i) & 1]
+    )
+
+
+class TestCanonicalForm:
+    def test_atlas_graphs_and_relabelings(self):
+        rng = random.Random(29)
+        graphs = atlas_graphs()
+        graphs += [random_graph(rng, rng.randint(8, 11)) for _ in range(100)]
+        for g in graphs:
+            cert, h = canonical_form(g)
+            assert cert == certificate(g)
+            assert h == unpack_certificate(cert)
+            assert h.edge_count == g.edge_count
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == (cert, h)
 
 
 class TestIsIsomorphic:
