@@ -106,7 +106,12 @@ def _parse_formula_spec(spec: str) -> tuple[str, list[int]]:
             f"unrecognized formula {spec!r} (use turan:R, wheel:K, wheels:K1,..., "
             f"or union-turan:R)"
         )
-    value = int(arg)
+    try:
+        value = int(arg)
+    except ValueError:
+        raise ValueError(
+            f"{kind} formula needs one integer argument, got {spec!r}"
+        ) from None
     if kind != "wheel" and value < 1:
         raise ValueError(f"{kind} formula needs r >= 1, got {value}")
     return kind, [value]
@@ -567,3 +572,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,16 +1,21 @@
 """Exact extremal numbers at desk scale, by two independent routes.
 
 ``brute_force_ex`` enumerates isomorphism classes of family-free graphs one
-vertex at a time.  Level m holds one representative of every class of free
-graphs on m vertices that can still sit inside an n-vertex free graph with
-at least ``best`` edges, where ``best`` is the strongest known lower bound
-(seed constructions plus an internal Turan seed).  The retained set is
-complete: every induced subgraph of a free graph is free, and an m-vertex
-induced subgraph of an n-vertex graph with e edges has at least
-e - (C(n,2) - C(m,2)) edges, so every extremal graph keeps a full deletion
-chain above the per-level bound.  Freeness of a child is decided by a search
-restricted to embeddings through the new vertex, which is exact because the
-parent is already known to be free.
+vertex at a time.  ``best`` is the strongest known lower bound (seed
+constructions plus an internal Turan seed).  A child is kept only when its
+new vertex has minimum degree in it and it has at least b_s edges on s
+vertices, where b_n = best and b_{s-1} = b_s - floor(2 b_s / s) (b stays
+at best while best <= 0).  The retained set is complete: repeatedly
+deleting a minimum-degree vertex takes any n-vertex graph G with at least
+best edges down a chain G_n, ..., G_1 in which G_s is G_{s-1} plus a vertex
+of minimum degree; a vertex of minimum degree in an s-vertex graph with e
+edges has degree at most floor(2e/s), and e - floor(2e/s) does not
+decrease with e for s >= 2, so G_s has at least b_s edges (Katona, Nemetz
+and Simonovits, 1964); and every G_s is free when G is.  So by induction
+level s holds a representative of the class of every G_s, and the top
+level holds every extremal class.  Freeness of a child is decided by a
+search restricted to embeddings through the new vertex, which is exact
+because the parent is already known to be free.
 
 ``labeled_filter_ex`` is a deliberately different second oracle for n <= 7:
 it materializes all 2^C(n,2) labeled graphs as a numpy vector of edge-set
@@ -25,7 +30,7 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,6 +133,39 @@ def _augment(parent: SimpleGraph, nb_mask: int) -> SimpleGraph:
     return SimpleGraph._from_rows(m + 1, rows)
 
 
+def _next_level(
+    level: Iterable[SimpleGraph], fam: ForbiddenFamily, bound: int
+) -> Iterator[tuple[bytes, SimpleGraph]]:
+    """One vertex more: yield (certificate, graph) once per new class.
+
+    A child is the parent plus one vertex; it is kept when the new vertex
+    has minimum degree in it, it has at least ``bound`` edges and it is
+    free.  The degree test reads the parent's degrees and the mask only,
+    so a rejected child is never built.
+    """
+    seen: set[bytes] = set()
+    for parent in level:
+        m = parent.n
+        deg = parent.degrees()
+        low = min(deg, default=0)
+        # the new vertex of degree k has minimum degree iff k <= low, or
+        # k == low + 1 and it is adjacent to every vertex of degree low
+        low_mask = sum(1 << u for u, d in enumerate(deg) if d == low)
+        need = bound - parent.edge_count
+        for nb in range(1 << m):
+            k = nb.bit_count()
+            if k < need or k > low + 1 or (k > low and low_mask & ~nb):
+                continue
+            child = _augment(parent, nb)
+            if contains_disjoint_family_through(child, fam, m):
+                continue
+            cert = certificate(child)
+            if cert in seen:
+                continue
+            seen.add(cert)
+            yield cert, child
+
+
 def brute_force_ex(
     n: int,
     family: ForbiddenFamily | Sequence[SimpleGraph],
@@ -188,25 +226,19 @@ def brute_force_ex(
             partial = ExtremalResult(n, fam, best, (), False, candidates)
             raise BudgetExceededError(over, partial)
 
-    total_pairs = comb(n, 2)
+    # bounds[s]: the fewest edges the s-vertex graph of a min-degree
+    # deletion chain of a graph with >= best edges can have
+    bounds = [best] * (n + 1)
+    for s in range(n, 1, -1):
+        b = bounds[s]
+        bounds[s - 1] = b - 2 * b // s if b > 0 else b
     current = [SimpleGraph(0)]
-    for m in range(n):
-        size = m + 1
-        bound = best - (total_pairs - comb(size, 2))
+    for size in range(1, n + 1):
         seen: dict[bytes, SimpleGraph] = {}
-        for parent in current:
-            for nb in range(1 << m):
-                if parent.edge_count + nb.bit_count() < bound:
-                    continue
-                child = _augment(parent, nb)
-                if contains_disjoint_family_through(child, fam, m):
-                    continue
-                cert = certificate(child)
-                if cert in seen:
-                    continue
-                seen[cert] = child
-                candidates += 1
-                check_budget()
+        for cert, child in _next_level(current, fam, bounds[size]):
+            seen[cert] = child
+            candidates += 1
+            check_budget()
         current = [seen[c] for c in sorted(seen)]
 
     if not current:

@@ -1,6 +1,9 @@
 """End-to-end command tests driven through the argument-list entry point."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -86,6 +89,22 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_module_runs_as_a_script(self):
+        src = str(Path(turanlab.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "turanlab.cli"]
+        done = subprocess.run(
+            argv + ["ex-formula", "--formula", "turan:2", "--n", "9"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "value 20\n")
+        done = subprocess.run(
+            argv + ["ex-formula", "--formula", "wheel:", "--n", "9"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "wheel formula needs one integer argument" in done.stderr
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -210,6 +229,8 @@ class TestExFormula:
             ("union-turan:2", "scan --family evaluates 'union-turan:2'"),
             ("turan:0", "turan formula needs r >= 1, got 0"),
             ("zeta:3", "unrecognized formula"),
+            ("wheel:", "wheel formula needs one integer argument, got 'wheel:'"),
+            ("turan:x", "turan formula needs one integer argument, got 'turan:x'"),
         ],
     )
     def test_specs_ex_formula_cannot_evaluate(self, spec, message, capsys):
@@ -308,6 +329,13 @@ class TestScan:
         out = capsys.readouterr().out
         assert "formula agrees from n = 3 onward" in out
 
+    def test_bad_formula_argument_is_usage_error(self, capsys):
+        argv = ["scan", "--family", "k3", "--formula", "turan:x", "--n-from", "3",
+                "--n-to", "4"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: turan formula needs one integer argument, got 'turan:x'\n"
+
     def test_budget_rows_exit_three(self, capsys):
         code = main(
             [
@@ -319,13 +347,16 @@ class TestScan:
                 "--n-from",
                 "3",
                 "--n-to",
-                "6",
+                "8",
                 "--budget-candidates",
-                "6",
+                "3",
             ]
         )
         assert code == 3
-        assert "unknown" in capsys.readouterr().out
+        rows = capsys.readouterr().out.splitlines()[1:7]
+        # K3 at order n admits n classes, so only n = 3 fits under the cap
+        assert rows[0].split()[-1] == "yes"
+        assert all(row.split()[-1] == "unknown" for row in rows[1:])
 
     def test_json_report(self, tmp_path, capsys):
         out = tmp_path / "scan.json"

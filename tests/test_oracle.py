@@ -10,6 +10,7 @@ from turanlab import (
     ForbiddenFamily,
     SearchBudget,
     SimpleGraph,
+    best_feasible_wheel_graph,
     brute_force_ex,
     canonical_form,
     certificate,
@@ -25,10 +26,24 @@ from turanlab import (
     turan,
     turan_edge_count,
     union_extremal_graph,
+    union_extremal_value,
     wheel,
     wheel_extremal_graph,
     wheel_extremal_value,
 )
+from turanlab.containment import as_family
+from turanlab.oracle import _next_level
+
+
+def grow(fam, n: int) -> list[list[bytes]]:
+    """Certificates of every class _next_level reaches on 1..n vertices,
+    with no edge bound."""
+    level, out = [SimpleGraph(0)], []
+    for _ in range(n):
+        found = sorted(_next_level(level, as_family(fam), 0))
+        level = [g for _, g in found]
+        out.append([c for c, _ in found])
+    return out
 
 
 class TestBruteForce:
@@ -106,6 +121,48 @@ class TestBruteForce:
             SearchBudget(max_seconds=-1.0)
 
 
+class TestMinDegreeLevels:
+    """The level step admits a child only when its new vertex has minimum
+    degree.  These gates share no code with that rule."""
+
+    def test_triangle_free_class_counts(self):
+        # OEIS A006785: triangle-free graphs on n unlabeled vertices
+        counts = [len(certs) for certs in grow([complete(3)], 9)]
+        assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+
+    def test_every_atlas_class_is_reached(self):
+        nx = pytest.importorskip("networkx")
+        by_order: dict[int, set[bytes]] = {}
+        for h in nx.graph_atlas_g()[1:]:
+            g = SimpleGraph(h.number_of_nodes(), h.edges())
+            by_order.setdefault(g.n, set()).add(certificate(g))
+        # nothing on 7 vertices holds K8, so every class is free
+        levels = grow([complete(8)], 7)
+        assert [len(certs) for certs in levels] == [1, 2, 4, 11, 34, 156, 1044]
+        for n, certs in enumerate(levels, start=1):
+            assert set(certs) == by_order[n]
+
+    def test_seeded_wheel_matches_formula_above_hard_cap(self):
+        for n, value in [(10, 31), (11, 37), (12, 43)]:
+            r = brute_force_ex(
+                n, [wheel(7)], seeds=(best_feasible_wheel_graph(n, 3),),
+                allow_large=True,
+            )
+            assert r.ex_value == value == wheel_extremal_value(n, 3).value
+
+    def test_seeded_two_triangles_match_layered_formula_above_hard_cap(self):
+        fam = [complete(3), complete(3)]
+        for n, value in [(10, 29), (11, 35), (12, 41), (13, 48)]:
+            seeds = tuple(
+                union_extremal_graph(n, ell, turan(n - ell + 1, 2)) for ell in (1, 2)
+            )
+            r = brute_force_ex(n, fam, seeds=seeds, allow_large=True)
+            formula = union_extremal_value(
+                n, fam, lambda m, ell: turan_edge_count(m, 2)
+            )
+            assert r.ex_value == value == formula.value
+
+
 class TestResultSerialization:
     def test_json_roundtrip_is_byte_identical(self):
         r = brute_force_ex(5, [complete(3)])
@@ -172,11 +229,13 @@ class TestThresholdScan:
     def test_budget_rows_become_unknown(self):
         report = threshold_scan(
             [complete(3)],
-            range(3, 7),
+            range(3, 9),
             lambda n: n * n // 4,
-            budget=SearchBudget(max_candidates=8),
+            budget=SearchBudget(max_candidates=3),
         )
-        assert any(row.match is None for row in report.rows)
+        # K3 at order n admits n classes, so only n = 3 fits under the cap
+        assert [row.match for row in report.rows] == [True] + [None] * 5
+        assert all(row.oracle_value is None for row in report.rows[1:])
 
     def test_text_table_shape(self):
         report = threshold_scan([complete(3)], range(3, 6), lambda n: n * n // 4)
