@@ -2,11 +2,12 @@
 
 ``certificate`` returns a byte string that is identical for two graphs if and
 only if they are isomorphic; ``canonical_form`` also returns the graph
-relabeled into the order that certificate packs.  It is computed by equitable refinement plus
-individualization: starting from the degree partition, the partition is
-refined until equitable; when it is not yet discrete, each vertex of the first
-smallest cell is individualized in turn and the search recurses, keeping the
-lexicographically smallest adjacency encoding over all discrete leaves.
+relabeled into the order that the certificate packs.  It is computed by
+equitable refinement plus individualization: starting from the degree
+partition, the partition is refined until equitable; when it is not yet
+discrete, each vertex of the first smallest cell is individualized in turn
+and the search recurses, keeping the lexicographically smallest adjacency
+encoding over all discrete leaves.
 
 Refinement is a splitter queue that enqueues every cell it creates.  Once a
 cell has been used as a splitter, every cell is uniform against it, and

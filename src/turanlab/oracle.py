@@ -67,11 +67,12 @@ class ExtremalResult:
     """Outcome of an extremal computation.
 
     ``witnesses`` lists the extremal graphs up to isomorphism, sorted by
-    canonical certificate, each in its canonical labeling (``canonical_form``),
-    so their bytes depend only on the isomorphism class.  ``exhaustive`` is False only on partial results
-    attached to a budget error, where ``ex_value`` is just the best known
-    lower bound (-1 when no free graph on n vertices has been seen) and
-    ``witnesses`` is empty.  ``candidates`` counts isomorphism classes
+    canonical certificate, each in its canonical labeling
+    (``canonical_form``), so their bytes depend only on the isomorphism
+    class.  ``exhaustive`` is False only on partial results attached to a
+    budget error, where ``ex_value`` is just the best known lower bound (-1
+    when no free graph on n vertices has been seen) and ``witnesses`` is
+    empty.  ``candidates`` counts isomorphism classes
     admitted by the level search, or labeled free graphs for the filter
     oracle.
     """
