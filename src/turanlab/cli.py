@@ -100,7 +100,10 @@ def _parse_formula_spec(spec: str) -> tuple[str, list[int]]:
     """Split a formula spec into its kind and integer arguments, validated."""
     kind, _, arg = spec.partition(":")
     if kind == "wheels":
-        return kind, _parse_int_list(arg, "wheels formula ks")
+        ks = _parse_int_list(arg, "wheels formula ks")
+        if not ks:
+            raise ValueError(f"wheels formula needs at least one k, got {spec!r}")
+        return kind, ks
     if kind not in ("turan", "wheel", "union-turan"):
         raise ValueError(
             f"unrecognized formula {spec!r} (use turan:R, wheel:K, wheels:K1,..., "

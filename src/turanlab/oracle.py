@@ -18,10 +18,13 @@ search restricted to embeddings through the new vertex, which is exact
 because the parent is already known to be free.
 
 ``labeled_filter_ex`` is a deliberately different second oracle for n <= 7:
-it materializes all 2^C(n,2) labeled graphs as a numpy vector of edge-set
-bitmasks, knocks out every mask that contains some labeled copy of the
-forbidden union, and reads the maximum popcount off the survivors.  The two
-oracles share no search code, so their agreement is a real cross-check.
+it holds all 2^C(n,2) labeled graphs as the bits of one Python int, indexed
+by edge-set bitmask.  It marks every labeled copy of the forbidden union,
+closes the marks upward over the edge slots (the superset zeta transform of
+Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Mobius", 2007), so
+every graph containing a copy is knocked out, and reads the largest edge
+count off the survivors.  The two oracles share no search code, so their
+agreement is a real cross-check.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .canonical import canonical_form, certificate
 from .containment import (
@@ -287,22 +288,38 @@ def labeled_filter_ex(
                 m |= 1 << index[(x, y)]
             masks.add(m)
 
-    # C(7,2) = 21 edge slots at most, so 32-bit masks cover the whole space
-    space = np.arange(1 << len(pairs), dtype=np.uint32)
-    free = np.ones(space.shape, dtype=bool)
-    for m in sorted(masks):
-        mm = np.uint32(m)
-        free &= (space & mm) != mm
-    if not free.any():
+    # bit m of an int stands for the labeled graph with edge-set mask m; at
+    # most C(7,2) = 21 edge slots, so each int has at most 2^21 bits
+    size = 1 << len(pairs)
+    marks = bytearray((size + 7) // 8)
+    for m in masks:
+        marks[m >> 3] |= 1 << (m & 7)
+    bad = int.from_bytes(marks, "little")
+    # close bad upward one slot at a time (the superset zeta transform):
+    # a mask with bit e set inherits the mark of the mask without it, so
+    # after the last slot every supergraph of a forbidden copy is marked;
+    # the same pass sorts the masks into level[c], those with c edges
+    level = [1]
+    for e in range(len(pairs)):
+        step = 1 << e
+        has_e, width = ((1 << step) - 1) << step, 2 * step
+        while width < size:
+            has_e |= has_e << width
+            width *= 2
+        bad |= (bad << step) & has_e
+        level = [a | b << step for a, b in zip(level + [0], [0] + level)]
+    free = ((1 << size) - 1) & ~bad
+    if not free:
         raise ValueError(
             f"every graph on {n} vertices contains the family; ex is undefined"
         )
-    survivors = space[free]
-    counts = np.bitwise_count(survivors)
-    ex_value = int(counts.max())
+    ex_value = max(c for c, lv in enumerate(level) if free & lv)
+    # bits read least significant first, so masks come out in ascending order
+    bits = bin(free & level[ex_value])[:1:-1]
 
     classes: dict[bytes, SimpleGraph] = {}
-    for mask in survivors[counts == ex_value].tolist():
+    mask = bits.find("1")
+    while mask >= 0:
         rows = [0] * n
         for e, (i, j) in enumerate(pairs):
             if mask >> e & 1:
@@ -312,8 +329,9 @@ def labeled_filter_ex(
         cert = certificate(g)
         if cert not in classes:
             classes[cert] = g
+        mask = bits.find("1", mask + 1)
     witnesses = tuple(canonical_form(classes[c])[1] for c in sorted(classes))
-    return ExtremalResult(n, fam, ex_value, witnesses, True, int(free.sum()))
+    return ExtremalResult(n, fam, ex_value, witnesses, True, free.bit_count())
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .constructions import union_extremal_graph
 from .containment import ForbiddenFamily, as_family, contains_subgraph, is_free
 from .graph6 import json_doc
 from .graphs import SimpleGraph
@@ -274,10 +273,12 @@ class StructureAudit:
     """Clique-join decomposition report for a family-free graph.
 
     q universal vertices give ell = q + 1.  The graph always equals the join
-    of its universal set with the rest; ``shape_ok`` re-verifies that by
-    reconstruction.  ``inner_free`` and ``expected_inner_edges`` are None
-    when ell exceeds the family size (flagged by ``ell_in_range``), which
-    the characterization rules out for genuine extremal graphs.
+    of its universal set with the rest, because a universal vertex is
+    adjacent to everything, so ``shape_ok`` is the constant True; it stays
+    so that ``structure-audit/1`` keeps its fields.  ``inner_free`` and
+    ``expected_inner_edges`` are None when ell exceeds the family size
+    (flagged by ``ell_in_range``), which the characterization rules out for
+    genuine extremal graphs.
     """
 
     q: int
@@ -313,9 +314,9 @@ def structure_audit(
 ) -> StructureAudit:
     """Check the clique-join shape of a family-free graph.
 
-    Passes iff the universal-vertex count q gives ell = q + 1 within the
-    family, the graph is exactly K_q joined to the remainder H, H avoids
-    F_ell, and e(H) matches ex_provider(n - q, ell).
+    The graph is K_q joined to the remainder H, where q counts its
+    universal vertices.  Passes iff ell = q + 1 is within the family, H
+    avoids F_ell, and e(H) matches ex_provider(n - q, ell).
     """
     fam = as_family(family)
     if not is_free(g, fam):
@@ -327,25 +328,17 @@ def structure_audit(
     others = [v for v in range(g.n) if v not in clique]
     inner = g.induced(others)
 
-    rebuilt = union_extremal_graph(g.n, ell, inner)
-    perm = [0] * g.n
-    for new, old in enumerate(list(clique) + others):
-        perm[old] = new
-    shape_ok = g.relabel(perm) == rebuilt
-
     inner_free: bool | None = None
     expected: int | None = None
     if in_range:
         inner_free = contains_subgraph(inner, fam[ell - 1]) is None
         expected = ex_provider(g.n - q, ell)
-    passed = bool(
-        in_range and shape_ok and inner_free and inner.edge_count == expected
-    )
+    passed = bool(in_range and inner_free and inner.edge_count == expected)
     return StructureAudit(
         q=q,
         ell=ell,
         ell_in_range=in_range,
-        shape_ok=shape_ok,
+        shape_ok=True,
         inner_free=inner_free,
         inner_edges=inner.edge_count,
         expected_inner_edges=expected,

@@ -335,6 +335,9 @@ class TestScan:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: turan formula needs one integer argument, got 'turan:x'\n"
+        assert main(["ex-formula", "--formula", "wheels:", "--n", "9"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: wheels formula needs at least one k, got 'wheels:'\n"
 
     def test_budget_rows_exit_three(self, capsys):
         code = main(

@@ -1,9 +1,14 @@
 """Exhaustive oracle, labeled-space cross-check, scans, and audits."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import turanlab
 from turanlab import (
     BudgetExceededError,
     ExtremalResult,
@@ -203,6 +208,77 @@ class TestLabeledFilter:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             labeled_filter_ex(8, [complete(3)])
+
+    @staticmethod
+    def exhaustive(n: int, pats) -> tuple[int, int]:
+        """(max edges, count) over the free labeled graphs on n vertices,
+        each built and tested with is_free."""
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        best, count = -1, 0
+        for mask in range(1 << len(pairs)):
+            edges = [p for e, p in enumerate(pairs) if mask >> e & 1]
+            if is_free(SimpleGraph(n, edges), pats):
+                best, count = max(best, len(edges)), count + 1
+        return best, count
+
+    @pytest.mark.parametrize(
+        "pats",
+        [
+            [complete(3)],
+            [complete(3), complete(3)],
+            [cycle(4)],
+            [cycle(5)],
+            [wheel(5)],
+            [path(4)],
+        ],
+    )
+    def test_matches_graph_by_graph_check(self, pats):
+        for n in range(6):
+            r = labeled_filter_ex(n, pats)
+            assert (r.ex_value, r.candidates) == self.exhaustive(n, pats), n
+
+    def test_triangle_at_six_matches_graph_by_graph_check(self):
+        r = labeled_filter_ex(6, [complete(3)])
+        assert (r.ex_value, r.candidates) == self.exhaustive(6, [complete(3)])
+        assert r.candidates == 5789
+
+    @pytest.mark.parametrize(
+        "pats, expected",
+        [
+            ([complete(3)], (12, 1, 133501)),
+            ([complete(3), complete(3)], (15, 3, 1251352)),
+            ([cycle(4)], (9, 5, 163440)),
+            ([cycle(5)], (12, 2, 316453)),
+            ([wheel(5)], (15, 1, 1542940)),
+        ],
+    )
+    def test_pinned_at_seven(self, pats, expected):
+        r = labeled_filter_ex(7, pats)
+        assert (r.ex_value, len(r.witnesses), r.candidates) == expected
+
+    def test_tiny_orders(self):
+        for n in (0, 1):
+            r = labeled_filter_ex(n, [complete(3)])
+            assert (r.ex_value, r.candidates) == (0, 1)
+            assert r.witnesses == (SimpleGraph(n),)
+        with pytest.raises(ValueError, match="every graph on 2 vertices"):
+            labeled_filter_ex(2, [complete(1)])
+
+    def test_runs_without_numpy(self):
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from turanlab import complete, labeled_filter_ex\n"
+            "r = labeled_filter_ex(6, [complete(3)])\n"
+            "print(r.ex_value, r.candidates)\n"
+        )
+        src = str(Path(turanlab.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "9 5789\n", "")
 
 
 class TestThresholdScan:
