@@ -183,7 +183,8 @@ class TestExitCodes:
 
     def test_budget_seconds_exits_three(self, tmp_path, capsys):
         out = tmp_path / "partial.json"
-        argv = ["brute-force", "--family", "k3", "--n", "10", "--budget-seconds",
+        # unseeded C4 at n = 9 runs about 0.7 s, far past the 0.01 s cap
+        argv = ["brute-force", "--family", "c4", "--n", "9", "--budget-seconds",
                 "0.01", "--json", str(out)]
         assert main(argv) == 3
         assert "time cap" in capsys.readouterr().err
