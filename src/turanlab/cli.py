@@ -421,14 +421,7 @@ def _cmd_stability(args) -> int:
     graphs = _read_graph_input(args.infile)
     docs = []
     for idx, g in enumerate(graphs, start=1):
-        diag = min_internal_partition(
-            g,
-            args.r,
-            mode=args.mode,
-            theta=args.theta,
-            starts=args.starts,
-            seed=args.seed,
-        )
+        diag = min_internal_partition(g, args.r, theta=args.theta)
         audit = min_degree_audit(g, args.r, args.theta) if g.n else False
         sys.stdout.write(
             f"graph {idx} (n={g.n}, e={g.edge_count}): internal edges "
@@ -547,12 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--in", dest="infile", required=True, help="graph6 file, or - for stdin")
     p.add_argument("--r", type=int, required=True, help="number of parts")
-    p.add_argument("--mode", choices=["exact", "local-search"], default="exact")
     p.add_argument("--theta", type=float, default=0.1)
-    p.add_argument("--starts", type=int, default=20, help="local-search restarts")
-    p.add_argument(
-        "--seed", type=int, default=0, help="local-search random seed (default 0)"
-    )
     p.add_argument("--json", help="write the stability report JSON here")
     p.set_defaults(func=_cmd_stability)
 

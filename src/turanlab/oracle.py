@@ -2,20 +2,21 @@
 
 ``brute_force_ex`` enumerates isomorphism classes of family-free graphs one
 vertex at a time.  ``best`` is the strongest known lower bound (seed
-constructions plus an internal Turan seed).  A child is kept only when its
-new vertex has minimum degree in it and it has at least b_s edges on s
-vertices, where b_n = best and b_{s-1} = b_s - floor(2 b_s / s) (b stays
-at best while best <= 0).  The retained set is complete: repeatedly
-deleting a minimum-degree vertex takes any n-vertex graph G with at least
-best edges down a chain G_n, ..., G_1 in which G_s is G_{s-1} plus a vertex
-of minimum degree; a vertex of minimum degree in an s-vertex graph with e
-edges has degree at most floor(2e/s), and e - floor(2e/s) does not
-decrease with e for s >= 2, so G_s has at least b_s edges (Katona, Nemetz
-and Simonovits, 1964); and every G_s is free when G is.  So by induction
-level s holds a representative of the class of every G_s, and the top
-level holds every extremal class.  Freeness of a child is decided by a
-search restricted to embeddings through the new vertex, which is exact
-because the parent is already known to be free.
+constructions plus two internal seeds: the Turan graph on chi_min - 1 parts,
+and K_{t-1} plus isolated vertices where t is the family's total order).  A
+child is kept only when its new vertex has minimum degree in it and it has
+at least b_s edges on s vertices, where b_n = best and
+b_{s-1} = b_s - floor(2 b_s / s) (b stays at best while best <= 0).  The
+retained set is complete: repeatedly deleting a minimum-degree vertex takes
+any n-vertex graph G with at least best edges down a chain G_n, ..., G_1 in
+which G_s is G_{s-1} plus a vertex of minimum degree; a vertex of minimum
+degree in an s-vertex graph with e edges has degree at most floor(2e/s), and
+e - floor(2e/s) does not decrease with e for s >= 2, so G_s has at least b_s
+edges (Katona, Nemetz and Simonovits, 1964); and every G_s is free when G
+is.  So by induction level s holds a representative of the class of every
+G_s, and the top level holds every extremal class.  Freeness of a child is
+decided by a search restricted to embeddings through the new vertex, which
+is exact because the parent is already known to be free.
 
 ``labeled_filter_ex`` is a deliberately different second oracle for n <= 7:
 it holds all 2^C(n,2) labeled graphs as the bits of one Python int, indexed
@@ -210,6 +211,13 @@ def brute_force_ex(
         t = turan(n, r)
         assert is_free(t, fam), "internal seed must be free"
         best = max(best, t.edge_count)
+    # K_k plus isolated vertices has k = total_order - 1 vertices of positive
+    # degree, too few for a copy of the union unless a pattern has an
+    # isolated vertex; then it may contain one, so it is checked
+    k = fam.total_order - 1
+    clique = disjoint_union([complete(k), SimpleGraph(n - k)])
+    if is_free(clique, fam):
+        best = max(best, clique.edge_count)
 
     candidates = 0
 

@@ -3,15 +3,16 @@
 The extremal characterization says each extremal graph for a properly
 ordered family splits as a clique joined onto a smaller extremal graph.
 This module makes the machinery around that statement executable at desk
-scale: minimum-internal-edge r-partitions (exact subset DP up to a cap,
-multi-start local search above it), the degree-threshold W-set of a
+scale: minimum-internal-edge r-partitions, the degree-threshold W-set of a
 partition, a minimum-degree audit, and the clique/inner-graph structure
 audit itself.
 
-The local search uses single-vertex moves: shift a vertex to the part where
-it has strictly fewer neighbors.  Every move lowers the internal edge total,
-so the search terminates, and a fixpoint is exactly a partition where each
-vertex already sits in a part minimizing its internal degree.
+The graph's order picks the partition method: an exact subset DP up to
+``EXACT_CAP`` vertices, and above it a seeded multi-start local search with
+single-vertex moves: shift a vertex to the part where it has strictly fewer
+neighbors.  Every move lowers the internal edge total, so the search
+terminates, and a fixpoint is exactly a partition where each vertex already
+sits in a part minimizing its internal degree.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def _part_masks(g: SimpleGraph, parts: Sequence[Sequence[int]]) -> list[int]:
     return masks
 
 
+def _layout(g: SimpleGraph, masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The parts of a partition given as bitmasks, each in vertex order."""
+    return tuple(tuple(v for v in range(g.n) if m >> v & 1) for m in masks)
+
+
 def _internal_edges(g: SimpleGraph, masks: Sequence[int]) -> int:
     total = 0
     for m in masks:
@@ -93,8 +99,11 @@ def w_set(
     return tuple(sorted(out))
 
 
-# the largest order exact mode accepts: its subset DP holds 2**n entries
+# the largest order partitioned exactly: the subset DP holds 2**n entries
 EXACT_CAP = 14
+# above EXACT_CAP: restarts of the local search and the seed of their RNG
+LOCAL_SEARCH_STARTS = 20
+LOCAL_SEARCH_SEED = 0
 
 
 def _exact_min_partition(g: SimpleGraph, r: int) -> list[int]:
@@ -195,51 +204,37 @@ def is_vertex_move_optimal(g: SimpleGraph, parts: Sequence[Sequence[int]]) -> bo
     return True
 
 
+def _local_search(g: SimpleGraph, r: int, seed: int) -> list[int]:
+    """Best of LOCAL_SEARCH_STARTS seeded vertex-move descents, as part masks.
+
+    Ties are broken by the lexicographically least part layout.  The result
+    is always vertex-move optimal but only heuristically minimum.
+    """
+    rng = random.Random(seed)
+    runs = [_local_search_once(g, r, rng) for _ in range(LOCAL_SEARCH_STARTS)]
+    return min(runs, key=lambda masks: (_internal_edges(g, masks), _layout(g, masks)))
+
+
 def min_internal_partition(
-    g: SimpleGraph,
-    r: int,
-    mode: str = "exact",
-    theta: float = 0.1,
-    starts: int = 20,
-    seed: int = 0,
+    g: SimpleGraph, r: int, theta: float = 0.1
 ) -> PartitionDiagnostics:
     """Partition V(g) into r parts minimizing the internal edge total.
 
-    Exact mode is a subset DP and refuses n > EXACT_CAP; local-search mode runs
-    ``starts`` seeded random restarts of the vertex-move descent and keeps
-    the best partition found (ties broken by the lexicographically least
-    part layout).  Local-search results are always vertex-move optimal but
-    only heuristically minimum.
+    Graphs of at most EXACT_CAP vertices get the exact minimum from the
+    subset DP; larger ones get the local search with LOCAL_SEARCH_STARTS
+    restarts seeded by LOCAL_SEARCH_SEED.  ``mode`` of the result names the
+    method that ran.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got r={r}")
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if mode == "exact":
-        if g.n > EXACT_CAP:
-            raise ValueError(
-                f"exact mode caps at n={EXACT_CAP} (got n={g.n});"
-                " use mode='local-search'"
-            )
-        masks = _exact_min_partition(g, r)
-    elif mode == "local-search":
-        if starts < 1:
-            raise ValueError(f"need starts >= 1, got {starts}")
-        rng = random.Random(seed)
-        best_masks: list[int] | None = None
-        best_key: tuple | None = None
-        for _ in range(starts):
-            masks = _local_search_once(g, r, rng)
-            val = _internal_edges(g, masks)
-            layout = tuple(tuple(v for v in range(g.n) if m >> v & 1) for m in masks)
-            key = (val, layout)
-            if best_key is None or key < best_key:
-                best_key, best_masks = key, masks
-        masks = best_masks
+    if g.n <= EXACT_CAP:
+        mode, masks = "exact", _exact_min_partition(g, r)
     else:
-        raise ValueError(f"mode must be 'exact' or 'local-search', got {mode!r}")
+        mode, masks = "local-search", _local_search(g, r, LOCAL_SEARCH_SEED)
 
-    parts = tuple(tuple(v for v in range(g.n) if m >> v & 1) for m in masks)
+    parts = _layout(g, masks)
     return PartitionDiagnostics(
         parts=parts,
         internal_edges=_internal_edges(g, masks),

@@ -40,6 +40,7 @@ from turanlab import (
     wheel_extremal_graph,
     wheel_extremal_value,
 )
+from turanlab.stability import _internal_edges, _layout, _local_search
 from test_constructions import matches_reference
 
 
@@ -259,11 +260,11 @@ def test_criterion_8_partition_machinery(capsys):
         edges = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < 0.5]
         g = SimpleGraph(n, edges)
         r = 2 + (s % 2)
-        exact = min_internal_partition(g, r, mode="exact")
-        local = min_internal_partition(g, r, mode="local-search", starts=20, seed=s)
-        if exact.internal_edges == local.internal_edges:
+        exact = min_internal_partition(g, r)
+        local = _local_search(g, r, s)
+        if exact.internal_edges == _internal_edges(g, local):
             agree += 1
-        if is_vertex_move_optimal(g, local.parts):
+        if is_vertex_move_optimal(g, _layout(g, local)):
             optimal += 1
     elapsed = time.monotonic() - t0
     ok = agree >= 95 and optimal == 100

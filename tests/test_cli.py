@@ -114,12 +114,15 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_removed_options_are_usage_errors(self, capsys):
-        # the order guard is the oracle's HARD_CAP; --seed belongs to stability
+        # the order guard is the oracle's HARD_CAP; no subcommand takes --seed
         argv = ["brute-force", "--family", "k3", "--n", "4", "--hard-cap", "12"]
         assert main(argv) == 2
         assert main(["gen", "--kind", "standard", "--spec", "k3", "--seed", "1"]) == 2
-        # exact mode's order cap is the stability module's EXACT_CAP
-        assert main(["stability", "--in", "-", "--r", "2", "--cap", "20"]) == 2
+        # the graph's order picks the stability partition method and its seed
+        for old in (["--cap", "20"], ["--mode", "exact"], ["--starts", "5"],
+                    ["--seed", "0"]):
+            assert main(["stability", "--in", "-", "--r", "2"] + old) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
         # ex-formula reads one --formula spec; scan always seeds the oracle
         for old in (["--wheel-k", "3"], ["--wheels", "3,2"], ["--turan-r", "2"]):
             argv = ["ex-formula", "--formula", "wheel:3", "--n", "20"] + old
@@ -490,23 +493,16 @@ class TestStability:
         assert main(argv + [str(MAX_ORDER)]) == 0
         assert f"part {MAX_ORDER}: 0\n" in capsys.readouterr().out
 
-    def test_local_search_mode_with_seed(self, tmp_path, capsys):
+    def test_order_above_exact_cap_gets_local_search(self, tmp_path, capsys):
         graphs = tmp_path / "graphs.g6"
-        graphs.write_text(encode_graph6(wheel_extremal_graph(14, 3)) + "\n")
-        code = main(
-            [
-                "stability",
-                "--in",
-                str(graphs),
-                "--r",
-                "2",
-                "--mode",
-                "local-search",
-                "--seed",
-                "5",
-            ]
-        )
-        assert code == 0
+        graphs.write_text(encode_graph6(wheel_extremal_graph(16, 3)) + "\n")
+        argv = ["stability", "--in", str(graphs), "--r", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("graph 1 (n=16, e=")
+        assert ", mode local-search\n" in out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestDeterminism:

@@ -22,6 +22,7 @@ from turanlab import (
     complete,
     cycle,
     decode_graph6,
+    disjoint_union,
     encode_graph6,
     is_free,
     labeled_filter_ex,
@@ -110,6 +111,33 @@ class TestBruteForce:
             certificate(w) for w in seeded.witnesses
         ]
         assert seeded.candidates <= plain.candidates
+
+    def test_clique_seed_prunes_bipartite_unions(self):
+        # the Turan seed of C4 u C4 is edgeless; K7 plus two isolated
+        # vertices is the internal seed that keeps n = 9 within budget
+        fam = [cycle(4), cycle(4)]
+        budget = SearchBudget(max_seconds=60)
+        plain = brute_force_ex(9, fam, budget=budget)
+        clique = disjoint_union([complete(7), SimpleGraph(2)])
+        seeded = brute_force_ex(9, fam, budget=budget, seeds=(clique,))
+        assert plain.ex_value == seeded.ex_value == 24
+        assert [certificate(w) for w in plain.witnesses] == [
+            certificate(w) for w in seeded.witnesses
+        ]
+        assert len(plain.witnesses) == 2
+        # the internal seed prunes exactly as the explicit one does
+        assert plain.candidates == seeded.candidates
+
+    def test_clique_seed_skipped_when_it_holds_a_copy(self):
+        # K3 plus isolated vertices contains K3 u K1, so it is no seed
+        fam = [complete(3), complete(1)]
+        for n in range(4, 8):
+            a = brute_force_ex(n, fam)
+            b = labeled_filter_ex(n, fam)
+            assert a.ex_value == b.ex_value, n
+            assert [encode_graph6(w) for w in a.witnesses] == [
+                encode_graph6(w) for w in b.witnesses
+            ], n
 
     def test_budget_trips_with_partial(self):
         budget = SearchBudget(max_candidates=5)

@@ -22,6 +22,7 @@ from turanlab import (
     w_set,
     wheel,
 )
+from turanlab.stability import EXACT_CAP, _internal_edges, _layout, _local_search
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
@@ -65,21 +66,24 @@ class TestMinInternalPartition:
         rng = random.Random(43)
         for s in range(30):
             g = random_graph(rng, rng.randint(3, 10))
-            exact = min_internal_partition(g, 2, mode="exact")
-            local = min_internal_partition(g, 2, mode="local-search", seed=s)
-            assert local.internal_edges == exact.internal_edges
-            assert is_vertex_move_optimal(g, local.parts)
+            exact = min_internal_partition(g, 2)
+            local = _local_search(g, 2, s)
+            assert _internal_edges(g, local) == exact.internal_edges
+            assert is_vertex_move_optimal(g, _layout(g, local))
 
     def test_local_search_is_deterministic(self):
         g = random_graph(random.Random(47), 12)
-        a = min_internal_partition(g, 3, mode="local-search", seed=9)
-        b = min_internal_partition(g, 3, mode="local-search", seed=9)
-        assert a.parts == b.parts
+        assert _local_search(g, 3, 9) == _local_search(g, 3, 9)
 
-    def test_exact_cap(self):
-        g = SimpleGraph(15)
-        with pytest.raises(ValueError, match="local-search"):
-            min_internal_partition(g, 2, mode="exact")
+    def test_order_picks_the_method(self):
+        rng = random.Random(53)
+        at_cap = min_internal_partition(random_graph(rng, EXACT_CAP), 2)
+        assert at_cap.mode == "exact"
+        g = random_graph(rng, EXACT_CAP + 1)
+        a = min_internal_partition(g, 2)
+        assert a.mode == "local-search"
+        assert min_internal_partition(g, 2).parts == a.parts
+        assert is_vertex_move_optimal(g, a.parts)
 
     def test_json_shape(self):
         diag = min_internal_partition(cycle(5), 2)
