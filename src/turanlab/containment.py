@@ -8,21 +8,27 @@ patterns simultaneously, which the search decides exactly by backtracking
 across patterns (a greedy pattern-at-a-time pass would be wrong).
 
 One recursion, ``_find_disjoint``, does every search across patterns.  The
-through-vertex check runs it with each distinct pattern first and one of
-that pattern's vertices pinned onto the given host vertex.  A pinned copy
-sets no symmetry bound on the equal copies after it: it alone covers the
-vertex, so it is not interchangeable with them, and bounding them could
-discard the only disjoint system.
+through-vertex check runs it with each distinct pattern first and one
+representative of each automorphism orbit of that pattern pinned onto the
+given host vertex.  A pinned copy sets no symmetry bound on the equal copies
+after it: it alone covers the vertex, so it is not interchangeable with
+them, and bounding them could discard the only disjoint system.
 
-The embedding search processes pattern vertices by descending degree and
-filters host candidates through bitmask intersection of already-placed
-neighbors, which is what makes the exhaustive searches cheap at desk scale.
+Each pattern is compiled once per pinned vertex into a cached plan: the
+slot order (descending degree, then index), the forward neighbours of each
+slot, and lex-leader pairs from the pattern's stabilizer chain.  The
+embedding search keeps one candidate bitset per slot and forward-checks it:
+placing a vertex narrows its neighbours' domains to the host row, and an
+empty domain backtracks at once.  The pairs make it yield exactly one
+embedding per copy (automorphism class of embeddings) instead of |Aut(F)|.
+The first embedding found is a deterministic witness, though not always the
+lexicographically least mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .coloring import chromatic_number
@@ -95,57 +101,198 @@ def as_family(family) -> ForbiddenFamily:
     return ForbiddenFamily(family)
 
 
+PLAN_CACHE_SIZE = 256  # compiled plans kept; a miss only recompiles one
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How to search one pattern, compiled once per (pattern, pinned vertex).
+
+    Slot i holds pattern vertex ``order[i]``, whose image needs host degree
+    ``need[i]``.  Placing slot i narrows the domains of its later neighbour
+    slots ``fwd[i]`` to the host row, and those of the slots ``above[i]`` to
+    host vertices above its image: the lex-leader conditions.
+    """
+
+    order: tuple[int, ...]
+    need: tuple[int, ...]
+    fwd: tuple[tuple[int, ...], ...]
+    above: tuple[tuple[int, ...], ...]
+
+
+def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[int]]:
+    """Yield slot-indexed host assignments, slot i drawn from ``doms[i]``.
+
+    Forward checking on candidate bitsets (McCreesh, Prosser and Trimble,
+    "The Glasgow Subgraph Solver", ICGT 2020): placing a slot ANDs its host
+    row into each forward neighbour's domain, which also removes the used
+    vertices, and a lex-leader partner's domain keeps only the vertices
+    above the image; a domain that empties backtracks at once.  Candidates
+    go in ascending host order.  The yielded list is reused.
+    """
+    p = len(plan.order)
+    fwd, above = plan.fwd, plan.above
+    assign = [0] * p
+
+    def extend(i: int, doms: list[int], used: int) -> Iterator[list[int]]:
+        if i == p:
+            yield assign
+            return
+        cand = doms[i] & ~used
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            now = used | low
+            u = low.bit_length() - 1
+            nd = doms[:]
+            row = adj[u] & ~now
+            for j in fwd[i]:
+                nd[j] &= row
+                if not nd[j]:
+                    break
+            else:
+                high = -(low << 1) & ~now
+                for j in above[i]:
+                    nd[j] &= high
+                    if not nd[j]:
+                        break
+                else:
+                    assign[i] = u
+                    yield from extend(i + 1, nd, now)
+
+    yield from extend(0, doms, 0)
+
+
+def _slots(pattern: SimpleGraph, pin: int | None) -> _Plan:
+    """The plan without symmetry pairs: descending degree, then index, with
+    ``pin`` first."""
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    if pin is not None:
+        order.remove(pin)
+        order.insert(0, pin)
+    slot = {v: i for i, v in enumerate(order)}
+    fwd = tuple(
+        tuple(sorted(slot[w] for w in pattern.neighbors(v) if slot[w] > i))
+        for i, v in enumerate(order)
+    )
+    need = tuple(pattern.degree(v) for v in order)
+    return _Plan(tuple(order), need, fwd, ((),) * pattern.n)
+
+
+def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
+    """The orbit of ``v``, as a mask, under the automorphisms of ``pattern``
+    that fix every vertex of the mask ``fixed``.
+
+    Each candidate image w of ``v`` not yet joined to it gets one pinned
+    self-embedding search; the cycles of every automorphism found are joined
+    by union-find.  Candidates go from the highest vertex down, so on K_p the
+    first search finds a p-cycle.  Aut(F) itself is never enumerated.
+    """
+    p = pattern.n
+    root = list(range(p))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    deg = pattern.degrees()
+    same = [sum(1 << w for w in range(p) if deg[w] == deg[x]) & ~fixed for x in range(p)]
+    for w in range(p - 1, -1, -1):
+        if fixed >> w & 1 or deg[w] != deg[v] or find(w) == find(v):
+            continue
+        doms = [
+            1 << x if fixed >> x & 1 else 1 << w if x == v else same[x]
+            for x in plain.order
+        ]
+        for images in _search(plain, pattern.adj, doms):
+            for x, image in zip(plain.order, images):
+                root[find(x)] = find(image)
+            break
+    rv = find(v)
+    return sum(1 << x for x in range(p) if find(x) == rv)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(pattern: SimpleGraph, pin: int | None) -> _Plan:
+    """The compiled plan: slot order, forward neighbours and lex-leader pairs.
+
+    The pairs follow the pattern's stabilizer chain along the slot order
+    (Grochow and Kellis, RECOMB 2007): slot i's image lies below the images
+    of the other vertices in its orbit under the automorphisms fixing slots
+    0..i-1.  Exactly one embedding of each automorphism class meets them
+    all.  With a pin the chain starts at Stab(pin), so each copy through the
+    pinned host vertex with the pin on it is found once.
+    """
+    plain = _slots(pattern, pin)
+    above = []
+    fixed = 0
+    for i, v in enumerate(plain.order):
+        if i or pin is None:
+            orbit = _orbit(pattern, plain, fixed, v) & ~(1 << v)
+            above.append(tuple(sorted(plain.order.index(w) for w in bits(orbit))))
+        else:
+            above.append(())
+        fixed |= 1 << v
+    return _Plan(plain.order, plain.need, plain.fwd, tuple(above))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _orbit_representatives(pattern: SimpleGraph) -> tuple[int, ...]:
+    """The least vertex of each orbit of Aut(pattern)."""
+    plain = _slots(pattern, None)
+    reps, seen = [], 0
+    for v in range(pattern.n):
+        if not seen >> v & 1:
+            reps.append(v)
+            seen |= _orbit(pattern, plain, 0, v)
+    return tuple(reps)
+
+
 def _iter_embeddings(
     host: SimpleGraph,
     pattern: SimpleGraph,
     allowed: int,
     pinned: tuple[int, int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield embeddings (pattern-indexed tuples) using only ``allowed`` hosts.
+    """Yield one embedding (a pattern-indexed tuple) per copy of ``pattern``
+    using only ``allowed`` hosts, a copy being an automorphism class of
+    embeddings.
 
-    ``pinned`` forces one pattern vertex onto one host vertex.  Candidates are
-    tried in ascending host order, so the first yielded embedding is the
-    deterministic witness.
+    ``pinned`` forces one pattern vertex onto one host vertex; then one
+    embedding is yielded per copy through that host vertex that can put the
+    pinned vertex on it.  The search forward-checks bitset domains and the
+    first yielded embedding is the deterministic witness.
     """
     p = pattern.n
     if allowed.bit_count() < p:
         return
-    order = sorted(range(p), key=lambda v: (-pattern.degree(v), v))
+    plan = _plan(pattern, None if pinned is None else pinned[0])
+    adj = host.adj
+    fit: dict[int, int] = {}
+    for need in plan.need:
+        if need not in fit:
+            fit[need] = sum(1 << u for u in bits(allowed) if adj[u].bit_count() >= need)
+    doms = [fit[need] for need in plan.need]
     if pinned is not None:
-        order.remove(pinned[0])
-        order.insert(0, pinned[0])
-    slot_of = {v: i for i, v in enumerate(order)}
-    earlier: list[list[int]] = []
-    for i, v in enumerate(order):
-        earlier.append([slot_of[w] for w in pattern.neighbors(v) if slot_of[w] < i])
-    pdeg = [pattern.degree(v) for v in order]
-    hdeg = [host.adj[u].bit_count() for u in range(host.n)]
-
-    assign = [0] * p
-
-    def extend(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == p:
-            result = [0] * p
-            for slot, v in enumerate(order):
-                result[v] = assign[slot]
-            yield tuple(result)
-            return
-        cand = allowed & ~used
-        for j in earlier[i]:
-            cand &= host.adj[assign[j]]
-        if pinned is not None and i == 0:
-            cand &= 1 << pinned[1]
-        need = pdeg[i]
-        for u in bits(cand):
-            if hdeg[u] >= need:
-                assign[i] = u
-                yield from extend(i + 1, used | (1 << u))
-
-    yield from extend(0, 0)
+        doms[0] &= 1 << pinned[1]
+    if not all(doms):
+        return
+    order = plan.order
+    for images in _search(plan, adj, doms):
+        result = [0] * p
+        for v, u in zip(order, images):
+            result[v] = u
+        yield tuple(result)
 
 
 def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | None:
-    """First embedding of ``pattern`` in ``host`` (subgraph semantics), or None."""
+    """An embedding of ``pattern`` in ``host`` (subgraph semantics), or None.
+
+    The witness is the first the forward-checking search finds, one per copy
+    by the lex-leader pairs: deterministic, but not always the least mapping.
+    """
     allowed = (1 << host.n) - 1
     for mapping in _iter_embeddings(host, pattern, allowed):
         return Embedding(mapping)
@@ -221,6 +368,8 @@ def contains_disjoint_family_through(
     When ``host`` minus ``vertex`` is already family-free this decides full
     containment, which is how the oracle checks each one-vertex extension.
     """
+    if not 0 <= vertex < host.n:
+        raise ValueError(f"vertex {vertex} out of range for a host of order {host.n}")
     fam = as_family(family)
     if fam.total_order > host.n:
         return False
@@ -230,7 +379,8 @@ def contains_disjoint_family_through(
         if pos and fam[order[pos - 1]] == fam[fi]:
             continue  # an equal pattern already tried covering the vertex
         pinned_first = [fi] + order[:pos] + order[pos + 1:]
-        for pv in range(fam[fi].n):
+        # the pinned search finds each copy once per orbit the vertex can sit in
+        for pv in _orbit_representatives(fam[fi]):
             if _find_disjoint(
                 host, fam, pinned_first, allowed, {}, pinned=(pv, vertex)
             ):

@@ -21,6 +21,12 @@ from turanlab import (
     turan,
     wheel,
 )
+from turanlab.containment import (
+    PLAN_CACHE_SIZE,
+    _iter_embeddings,
+    _orbit_representatives,
+    _plan,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
@@ -118,6 +124,12 @@ class TestThroughVertex:
         assert contains_disjoint_family_through(host, fam, 1)
         assert not contains_disjoint_family_through(host, fam, 4)
 
+    def test_vertex_out_of_range(self):
+        fam = ForbiddenFamily([complete(3)])
+        for v in (99, -1):
+            with pytest.raises(ValueError, match=rf"vertex {v} .* order 5"):
+                contains_disjoint_family_through(complete(5), fam, v)
+
     def test_agrees_with_unrestricted_search_on_free_parents(self):
         # when host minus the vertex is free, the through check decides
         # containment outright
@@ -197,3 +209,82 @@ class TestAgainstNetworkx:
                 outcomes.add((contained, through))
         # the sample reaches every possible pair of outcomes
         assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def _edge_image(pattern: SimpleGraph, mapping) -> frozenset:
+    return frozenset(frozenset((mapping[u], mapping[v])) for u, v in pattern.edges())
+
+
+class TestOneEmbeddingPerCopy:
+    """The search yields one embedding per copy (automorphism class of
+    embeddings), checked against networkx monomorphisms and automorphisms."""
+
+    PATTERNS = [
+        complete(3),
+        complete(4),
+        cycle(4),
+        cycle(5),
+        cycle(6),
+        wheel(5),
+        wheel(7),
+        path(4),
+        complete_multipartite([2, 3]),
+        complete_multipartite([2, 2, 2]),
+        disjoint_union([complete(2), complete(2)]),
+        complete_multipartite([1, 4]),
+    ]
+
+    def test_copies_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return h
+
+        rng = random.Random(53)
+        copies = 0
+        for _ in range(100):
+            pat = rng.choice(self.PATTERNS)
+            host = random_graph(
+                rng, rng.randint(pat.n, 10), p=rng.choice([0.3, 0.5, 0.7])
+            )
+            autos = list(GraphMatcher(to_nx(pat), to_nx(pat)).isomorphisms_iter())
+            orbit_min = {min(a[v] for a in autos) for v in range(pat.n)}
+            assert _orbit_representatives(pat) == tuple(sorted(orbit_min))
+            monos = [
+                {v: u for u, v in m.items()}
+                for m in GraphMatcher(to_nx(host), to_nx(pat)).subgraph_monomorphisms_iter()
+            ]
+            want = {_edge_image(pat, m) for m in monos}
+            allowed = (1 << host.n) - 1
+            got = [_edge_image(pat, m) for m in _iter_embeddings(host, pat, allowed)]
+            assert len(got) == len(set(got))
+            assert set(got) == want
+            assert len(got) * len(autos) == len(monos)
+            copies += len(got)
+            for v in range(host.n):
+                through = [
+                    _edge_image(pat, m)
+                    for r in _orbit_representatives(pat)
+                    for m in _iter_embeddings(host, pat, allowed, pinned=(r, v))
+                ]
+                assert len(through) == len(set(through))
+                assert set(through) == {
+                    img for img in want if any(v in e for e in img)
+                }
+        assert copies > 1000  # the sample is not mostly empty
+
+    def test_symmetric_pattern_in_itself(self):
+        k30 = complete(30)
+        emb = contains_subgraph(k30, k30)
+        assert emb is not None and embedding_is_valid(k30, k30, emb)
+        assert _orbit_representatives(k30) == (0,)
+        # the chain from Stab(pin) orders the other 29 vertices: C(29, 2) pairs
+        for pin in range(30):
+            assert sum(map(len, _plan(k30, pin).above)) == 29 * 28 // 2
+        info = _plan.cache_info()
+        assert info.maxsize == PLAN_CACHE_SIZE
+        assert info.currsize <= PLAN_CACHE_SIZE
