@@ -315,15 +315,22 @@ def labeled_filter_ex(
             has_e |= has_e << width
             width *= 2
         bad |= (bad << step) & has_e
-        level = [a | b << step for a, b in zip(level + [0], [0] + level)]
+        # in place with c descending, so level[c - 1] still holds its value
+        # from before this slot; a second list of 2^21-bit ints would double
+        # the peak memory
+        level.append(0)
+        for c in range(len(level) - 1, 0, -1):
+            level[c] |= level[c - 1] << step
     free = ((1 << size) - 1) & ~bad
     if not free:
         raise ValueError(
             f"every graph on {n} vertices contains the family; ex is undefined"
         )
     ex_value = max(c for c, lv in enumerate(level) if free & lv)
+    top = free & level[ex_value]
+    del level, bad  # freed before the two 2^21-character strings below
     # bits read least significant first, so masks come out in ascending order
-    bits = bin(free & level[ex_value])[:1:-1]
+    bits = bin(top)[:1:-1]
 
     classes: dict[bytes, SimpleGraph] = {}
     mask = bits.find("1")
