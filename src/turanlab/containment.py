@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .coloring import chromatic_number
 from .graphs import SimpleGraph, bits
@@ -104,8 +104,7 @@ def as_family(family) -> ForbiddenFamily:
 PLAN_CACHE_SIZE = 256  # compiled plans kept; a miss only recompiles one
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """How to search one pattern, compiled once per (pattern, pinned vertex).
 
     Slot i holds pattern vertex ``order[i]``, whose image needs host degree
@@ -198,7 +197,9 @@ def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
         return x
 
     deg = pattern.degrees()
-    same = [sum(1 << w for w in range(p) if deg[w] == deg[x]) & ~fixed for x in range(p)]
+    same = [
+        sum(1 << w for w in range(p) if deg[w] == deg[x]) & ~fixed for x in range(p)
+    ]
     for w in range(p - 1, -1, -1):
         if fixed >> w & 1 or deg[w] != deg[v] or find(w) == find(v):
             continue
