@@ -380,7 +380,7 @@ def contains_disjoint_family_through(
         if pos and fam[order[pos - 1]] == fam[fi]:
             continue  # an equal pattern already tried covering the vertex
         pinned_first = [fi] + order[:pos] + order[pos + 1:]
-        # the pinned search finds each copy once per orbit the vertex can sit in
+        # one pin per automorphism orbit finds each copy through the vertex once
         for pv in _orbit_representatives(fam[fi]):
             if _find_disjoint(
                 host, fam, pinned_first, allowed, {}, pinned=(pv, vertex)

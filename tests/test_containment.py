@@ -160,19 +160,22 @@ def _disjoint_choice(images, need=None, used=frozenset()) -> bool:
     )
 
 
+def _to_nx(g: SimpleGraph):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 class TestAgainstNetworkx:
     """Seeded differential check against networkx monomorphisms, a reference
     that shares no code with the search under test."""
 
     def test_random_hosts_and_families(self):
-        nx = pytest.importorskip("networkx")
+        pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
-
-        def to_nx(g):
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges())
-            return h
 
         pool = [complete(3), path(3), cycle(4), cycle(5), wheel(5), complete(4)]
         rng = random.Random(47)
@@ -183,12 +186,12 @@ class TestAgainstNetworkx:
             fam = [rng.choice(pool)]
             for _ in range(rng.randint(0, 2)):
                 fam.append(fam[-1] if rng.random() < 0.5 else rng.choice(pool))
-            hx = to_nx(host)
+            hx = _to_nx(host)
             # the image vertex sets of each pattern in the host
             images_of = {
                 pat: {
                     frozenset(m)
-                    for m in GraphMatcher(hx, to_nx(pat)).subgraph_monomorphisms_iter()
+                    for m in GraphMatcher(hx, _to_nx(pat)).subgraph_monomorphisms_iter()
                 }
                 for pat in set(fam)
             }
@@ -235,14 +238,8 @@ class TestOneEmbeddingPerCopy:
     ]
 
     def test_copies_against_networkx(self):
-        nx = pytest.importorskip("networkx")
+        pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
-
-        def to_nx(g):
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges())
-            return h
 
         rng = random.Random(53)
         copies = 0
@@ -251,12 +248,13 @@ class TestOneEmbeddingPerCopy:
             host = random_graph(
                 rng, rng.randint(pat.n, 10), p=rng.choice([0.3, 0.5, 0.7])
             )
-            autos = list(GraphMatcher(to_nx(pat), to_nx(pat)).isomorphisms_iter())
+            autos = list(GraphMatcher(_to_nx(pat), _to_nx(pat)).isomorphisms_iter())
             orbit_min = {min(a[v] for a in autos) for v in range(pat.n)}
             assert _orbit_representatives(pat) == tuple(sorted(orbit_min))
+            matcher = GraphMatcher(_to_nx(host), _to_nx(pat))
             monos = [
                 {v: u for u, v in m.items()}
-                for m in GraphMatcher(to_nx(host), to_nx(pat)).subgraph_monomorphisms_iter()
+                for m in matcher.subgraph_monomorphisms_iter()
             ]
             want = {_edge_image(pat, m) for m in monos}
             allowed = (1 << host.n) - 1
