@@ -9,18 +9,28 @@ discrete, each vertex of the first smallest cell is individualized in turn
 and the search recurses, keeping the lexicographically smallest adjacency
 encoding over all discrete leaves.
 
-Refinement is a splitter queue that enqueues every cell it creates.  Once a
+Refinement is a splitter stack that pushes every cell it creates.  Once a
 cell has been used as a splitter, every cell is uniform against it, and
-later splits keep that true; since each final cell was enqueued when it was
-created and the queue drains, the final partition is equitable without a
-separate check (McKay and Piperno, Practical graph isomorphism II, 2014).
+later splits keep that true; since each final cell was pushed when it was
+created and the stack drains, the final partition is equitable without a
+separate check.  The root pushes every degree cell.  A child that
+individualizes v pushes only the rest of v's cell: the other cells belong
+to an equitable partition, so every cell below it is already uniform
+against them, and a cell uniform against v's old cell and against the rest
+is uniform against {v}.
 
-Two standard prunings keep symmetric inputs (complete graphs, Turan graphs,
-cycles) from exploding: leaves that reproduce the current best encoding
-reveal automorphisms, and branches whose root vertex lies in the orbit of an
-already explored sibling under automorphisms fixing the individualization
-path are skipped.  Exactness is the point here; the intended scale is the
-oracle's (n <= 12 or so), where this is comfortably fast.
+Leaves that reproduce the best encoding reveal automorphisms, each stored
+with the mask of the points it moves, so "fixes the individualization path"
+is one AND.  Each node keeps orbit masks over its target cell, merges them
+under the fixing automorphisms found since it last looked, and skips a
+vertex in the orbit of an explored sibling.  Such an automorphism also maps
+the best leaf's path onto the new leaf's path and fixes their common prefix,
+so the new leaf's subtree below the parting node is the image of one
+already searched, and the search returns there at once (McKay, Practical
+graph isomorphism, Congr. Numer. 30, 1981; McKay and Piperno, Practical
+graph isomorphism II, J. Symb. Comput. 60, 2014).  Every pruned leaf is the
+image of an earlier leaf with the same encoding, so the certificate and the
+first leaf that reaches it do not depend on the pruning.
 """
 
 from __future__ import annotations
@@ -28,33 +38,36 @@ from __future__ import annotations
 from .graphs import SimpleGraph, bits
 
 
-def _refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Refine an ordered partition to the coarsest equitable one below it.
+def _refine(
+    adj: tuple[int, ...], cells: list[tuple[int, ...]], splitters: list[int]
+) -> list[tuple[int, ...]]:
+    """Refine an ordered partition by a stack of splitter masks.
 
     Cells are split by neighbor counts against splitter cells; fragments are
     ordered by count, so the result depends only on the isomorphism type of
-    (graph, ordered partition).  Every fragment is enqueued when it is
-    created, so each final cell has served as a splitter and the result is
-    equitable once the queue drains.
+    (graph, ordered partition, splitters).  Every fragment is pushed when it
+    is created, so the result is equitable once the stack drains, provided
+    every cell is already uniform against each input cell not in
+    ``splitters``.
     """
-    queue = [sum(1 << v for v in c) for c in cells]
-    while queue:
-        smask = queue.pop()
+    n = len(adj)
+    stack = list(splitters)
+    while stack and len(cells) < n:
+        smask = stack.pop()
         newcells: list[tuple[int, ...]] = []
         for cell in cells:
-            if len(cell) == 1:
-                newcells.append(cell)
-                continue
-            groups: dict[int, list[int]] = {}
-            for v in cell:
-                groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-            if len(groups) == 1:
-                newcells.append(cell)
-            else:
-                for key in sorted(groups):
-                    frag = tuple(groups[key])
-                    newcells.append(frag)
-                    queue.append(sum(1 << v for v in frag))
+            if len(cell) > 1:
+                counts = [(adj[v] & smask).bit_count() for v in cell]
+                if counts.count(counts[0]) < len(cell):
+                    groups: dict[int, list[int]] = {}
+                    for v, c in zip(cell, counts):
+                        groups.setdefault(c, []).append(v)
+                    for key in sorted(groups):
+                        frag = tuple(groups[key])
+                        newcells.append(frag)
+                        stack.append(sum(1 << v for v in frag))
+                    continue
+            newcells.append(cell)
         cells = newcells
     return cells
 
@@ -90,12 +103,12 @@ def _canonical_order(g: SimpleGraph) -> tuple[bytes, list[int]]:
         by_degree.setdefault(adj[v].bit_count(), []).append(v)
     initial = [tuple(by_degree[d]) for d in sorted(by_degree)]
 
-    best: list[bytes | None] = [None]
-    best_order: list[list[int]] = [[]]
-    gens: list[tuple[int, ...]] = []
+    best: list = [None, None, ()]  # certificate, order, path
+    gens: list[tuple[tuple[int, ...], int]] = []  # automorphism, moved points
 
-    def search(cells: list[tuple[int, ...]], pathset: tuple[int, ...]) -> None:
-        cells = _refine(adj, cells)
+    def search(cells: list[tuple[int, ...]], path: tuple[int, ...]) -> int:
+        """Search below an equitable node; returns the depth to resume at."""
+        depth = len(path)
         target_index = -1
         target_size = n + 1
         for ci, cell in enumerate(cells):
@@ -106,45 +119,54 @@ def _canonical_order(g: SimpleGraph) -> tuple[bytes, list[int]]:
             order = [c[0] for c in cells]
             cert = _leaf_bytes(n, adj, order)
             if best[0] is None or cert < best[0]:
-                best[0] = cert
-                best_order[0] = order
-            elif cert == best[0] and order != best_order[0]:
+                best[:] = cert, order, path
+            elif cert == best[0]:
                 gamma = [0] * n
                 for p in range(n):
-                    gamma[best_order[0][p]] = order[p]
-                gens.append(tuple(gamma))
-            return
+                    gamma[best[1][p]] = order[p]
+                moved = sum(1 << x for x in range(n) if gamma[x] != x)
+                gens.append((tuple(gamma), moved))
+                # gamma fixes the common prefix and maps the best path's
+                # child there onto ours: our subtree there is its image
+                parting = 0
+                while path[parting] == best[2][parting]:
+                    parting += 1
+                return parting
+            return depth - 1
 
         target = cells[target_index]
-        explored: set[int] = set()
+        tmask = sum(1 << v for v in target)
+        pathmask = sum(1 << v for v in path)
+        orbit = {v: 1 << v for v in target}
+        explored = 0
+        looked = 0
         for v in target:
-            if explored:
-                fixers = [
-                    gamma for gamma in gens
-                    if all(gamma[x] == x for x in pathset)
-                ]
-                if fixers:
-                    closure = set(explored)
-                    frontier = list(closure)
-                    while frontier:
-                        u = frontier.pop()
-                        for gamma in fixers:
-                            w = gamma[u]
-                            if w not in closure:
-                                closure.add(w)
-                                frontier.append(w)
-                    if v in closure:
-                        continue
+            for gamma, moved in gens[looked:]:
+                if not moved & pathmask:
+                    for x in target:
+                        y = gamma[x]
+                        if not orbit[x] >> y & 1:
+                            merged = orbit[x] | orbit[y]
+                            for u in bits(merged):
+                                orbit[u] = merged
+            looked = len(gens)
+            if orbit[v] & explored:
+                continue
             rest = tuple(u for u in target if u != v)
-            child = (
-                cells[:target_index] + [(v,), rest] + cells[target_index + 1:]
+            child = _refine(
+                adj,
+                cells[:target_index] + [(v,), rest] + cells[target_index + 1:],
+                [tmask ^ 1 << v],
             )
-            search(child, pathset + (v,))
-            explored.add(v)
+            resume = search(child, path + (v,))
+            if resume < depth:
+                return resume
+            explored |= 1 << v
+        return depth - 1
 
-    search(initial, ())
-    assert best[0] is not None
-    return best[0], best_order[0]
+    root = _refine(adj, initial, [sum(1 << v for v in c) for c in initial])
+    search(root, ())
+    return best[0], best[1]
 
 
 def certificate(g: SimpleGraph) -> bytes:

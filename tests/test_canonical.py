@@ -1,11 +1,13 @@
 """Canonical certificate and isomorphism tests."""
 
+import hashlib
 import random
 
 import pytest
 
 from turanlab import (
     SimpleGraph,
+    brute_force_ex,
     canonical_form,
     certificate,
     complete,
@@ -17,7 +19,7 @@ from turanlab import (
     turan,
     wheel,
 )
-from turanlab.canonical import _refine
+from turanlab.canonical import _canonical_order, _refine
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
@@ -38,6 +40,10 @@ def degree_partition(g: SimpleGraph) -> list[tuple[int, ...]]:
     for v in range(g.n):
         by_degree.setdefault(g.degree(v), []).append(v)
     return [tuple(by_degree[d]) for d in sorted(by_degree)]
+
+
+def mask(cell: tuple[int, ...]) -> int:
+    return sum(1 << v for v in cell)
 
 
 def is_equitable(g: SimpleGraph, cells: list[tuple[int, ...]]) -> bool:
@@ -74,6 +80,23 @@ class TestCertificate:
     def test_distinct_orders_distinct(self):
         assert certificate(SimpleGraph(3)) != certificate(SimpleGraph(4))
 
+    def test_certificate_bytes_pinned(self):
+        # computed at commit 5104833, before the search refined from the new
+        # cells only, pruned by moved-point masks and backjumped: the pruning
+        # must not move a single certificate byte
+        rng = random.Random(41)
+        graphs = atlas_graphs()
+        graphs += [random_graph(rng, rng.randint(8, 11)) for _ in range(300)]
+        digest = hashlib.sha256(b"".join(certificate(g) for g in graphs))
+        assert digest.hexdigest() == (
+            "5d87e9af0d8512d8687cada07d09dff132381cc6b6d85edbe05cef8802bccf84"
+        )
+        # and the first leaf that reaches each certificate
+        orders = bytes(v for g in graphs for v in _canonical_order(g)[1])
+        assert hashlib.sha256(orders).hexdigest() == (
+            "f1c5a19f1c1f1a02555351898e69776d10410be39c2997e78518d8956b0a1009"
+        )
+
 
 def unpack_certificate(cert: bytes) -> SimpleGraph:
     """The graph whose row-major upper triangle the certificate packs."""
@@ -99,6 +122,29 @@ class TestCanonicalForm:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_form(g.relabel(perm)) == (cert, h)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(40),
+            complete_multipartite([20, 20]),
+            SimpleGraph(30),
+            turan(30, 3),
+            cycle(40),
+        ],
+        ids=["K40", "K20,20", "E30", "T30,3", "C40"],
+    )
+    def test_large_symmetric_graphs(self, g):
+        # without the backjump to the parting node, K40 took about 100 s
+        cert, h = canonical_form(g)
+        assert h == unpack_certificate(cert)
+        perm = list(range(g.n))
+        random.Random(g.n).shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == (cert, h)
+
+    def test_empty_graph_levels(self):
+        # every level of ex(20, K2) is one empty graph to certify
+        assert brute_force_ex(20, [complete(2)], allow_large=True).ex_value == 0
 
 
 class TestIsIsomorphic:
@@ -148,12 +194,33 @@ class TestAtlas:
         graphs += [random_graph(rng, rng.randint(1, 10)) for _ in range(300)]
         for g in graphs:
             start = degree_partition(g)
-            cells = _refine(g.adj, start)
+            cells = _refine(g.adj, start, [mask(c) for c in start])
             assert sorted(v for c in cells for v in c) == list(range(g.n))
             assert is_equitable(g, cells)
-            # individualizing a vertex, as the certificate search does
+            # a vertex pinned in front of the degree partition, which is not
+            # equitable, so every cell is a splitter
             if g.n > 1:
                 v = rng.randrange(g.n)
                 pinned = [(v,)] + [tuple(u for u in c if u != v) for c in start]
-                cells = _refine(g.adj, [c for c in pinned if c])
+                pinned = [c for c in pinned if c]
+                cells = _refine(g.adj, pinned, [mask(c) for c in pinned])
                 assert is_equitable(g, cells)
+
+    def test_refine_from_new_cells_only(self):
+        # below an equitable partition, individualizing v needs only {v} and
+        # the rest of its cell as splitters, or the rest alone, and gives the
+        # same ordered cells as every cell
+        rng = random.Random(31)
+        graphs = atlas_graphs()
+        graphs += [random_graph(rng, rng.randint(8, 11)) for _ in range(100)]
+        for g in graphs:
+            start = degree_partition(g)
+            root = _refine(g.adj, start, [mask(c) for c in start])
+            for i, cell in enumerate(root):
+                for v in cell if len(cell) > 1 else ():
+                    rest = tuple(u for u in cell if u != v)
+                    child = root[:i] + [(v,), rest] + root[i + 1:]
+                    every = _refine(g.adj, child, [mask(c) for c in child])
+                    assert _refine(g.adj, child, [1 << v, mask(rest)]) == every
+                    assert _refine(g.adj, child, [mask(rest)]) == every
+                    assert is_equitable(g, every)
