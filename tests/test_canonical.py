@@ -135,7 +135,8 @@ class TestCanonicalForm:
         ids=["K40", "K20,20", "E30", "T30,3", "C40"],
     )
     def test_large_symmetric_graphs(self, g):
-        # without the backjump to the parting node, K40 took about 100 s
+        # without the backjump to the parting node, K40 took about 100 s and
+        # K20,20 about 26 s on a shared 2-vCPU Xeon guest
         cert, h = canonical_form(g)
         assert h == unpack_certificate(cert)
         perm = list(range(g.n))
@@ -217,7 +218,9 @@ class TestAtlas:
             start = degree_partition(g)
             root = _refine(g.adj, start, [mask(c) for c in start])
             for i, cell in enumerate(root):
-                for v in cell if len(cell) > 1 else ():
+                if len(cell) == 1:
+                    continue
+                for v in cell:
                     rest = tuple(u for u in cell if u != v)
                     child = root[:i] + [(v,), rest] + root[i + 1:]
                     every = _refine(g.adj, child, [mask(c) for c in child])
