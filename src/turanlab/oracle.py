@@ -24,8 +24,12 @@ by edge-set bitmask.  It marks every labeled copy of the forbidden union,
 closes the marks upward over the edge slots (the superset zeta transform of
 Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Mobius", 2007), so
 every graph containing a copy is knocked out, and reads the largest edge
-count off the survivors.  The two oracles share no search code, so their
-agreement is a real cross-check.
+count off the survivors.  Its witnesses are the classes of the surviving
+graphs with that many edges.  That set is closed under relabeling, and every
+class has a labeling whose degrees do not decrease in vertex order (sort the
+vertices by degree), so only those labelings are certified, as in orderly
+generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978).  The
+two oracles share no search code, so their agreement is a real cross-check.
 """
 
 from __future__ import annotations
@@ -190,7 +194,8 @@ def brute_force_ex(
         raise ValueError(f"need n >= 0, got n={n}")
     if n > HARD_CAP and not allow_large:
         raise ValueError(
-            f"n={n} exceeds HARD_CAP={HARD_CAP}; pass allow_large=True to force"
+            f"n={n} exceeds HARD_CAP={HARD_CAP}; "
+            "pass allow_large=True (--allow-large) to force"
         )
 
     if fam.total_order > n:
@@ -271,7 +276,10 @@ def labeled_filter_ex(
 
     ``candidates`` reports the number of labeled free graphs.  Witnesses are
     deduplicated to isomorphism classes and sorted by certificate, so the
-    result is directly comparable with brute_force_ex.
+    result is directly comparable with brute_force_ex.  Only the top graphs
+    whose degrees do not decrease in vertex order are certified: relabeling
+    keeps a graph free and its edge count, and sorting the vertices by
+    degree gives every class such a labeling (Read, 1978).
     """
     fam = as_family(family)
     if n < 0:
@@ -328,23 +336,38 @@ def labeled_filter_ex(
         )
     ex_value = max(c for c, lv in enumerate(level) if free & lv)
     top = free & level[ex_value]
-    del level, bad  # freed before the two 2^21-character strings below
-    # bits read least significant first, so masks come out in ascending order
-    bits = bin(top)[:1:-1]
+    del level, bad  # freed before the 2^21-character string below
+    # incident[v]: the edge slots at v, so a mask's degree at v is a popcount
+    incident = [0] * n
+    for e, (i, j) in enumerate(pairs):
+        incident[i] |= 1 << e
+        incident[j] |= 1 << e
 
     classes: dict[bytes, SimpleGraph] = {}
-    mask = bits.find("1")
-    while mask >= 0:
-        rows = [0] * n
-        for e, (i, j) in enumerate(pairs):
-            if mask >> e & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        g = SimpleGraph._from_rows(n, rows)
-        cert = certificate(g)
-        if cert not in classes:
-            classes[cert] = g
-        mask = bits.find("1", mask + 1)
+    # the character at pos stands for mask len(bits) - 1 - pos; scanning
+    # from the right visits the masks in ascending order without a
+    # reversed copy
+    bits = bin(top)
+    pos = bits.rfind("1")
+    while pos >= 0:
+        mask = len(bits) - 1 - pos
+        pos = bits.rfind("1", 0, pos)
+        # only labelings with non-decreasing degrees are certified: the top
+        # set is closed under relabeling, so every class keeps one
+        prev = 0
+        for inc in incident:
+            d = (mask & inc).bit_count()
+            if d < prev:
+                break
+            prev = d
+        else:
+            rows = [0] * n
+            for e, (i, j) in enumerate(pairs):
+                if mask >> e & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            g = SimpleGraph._from_rows(n, rows)
+            classes.setdefault(certificate(g), g)
     witnesses = tuple(canonical_form(classes[c])[1] for c in sorted(classes))
     return ExtremalResult(n, fam, ex_value, witnesses, True, free.bit_count())
 

@@ -23,6 +23,7 @@ from turanlab import (
     criticality,
     cycle,
     dominating_clique,
+    encode_graph6,
     is_free,
     is_isomorphic,
     is_vertex_move_optimal,
@@ -233,18 +234,27 @@ def test_criterion_6_maximality_of_witnesses(oracle_runs, capsys):
 def test_criterion_7_dual_oracle_agreement(oracle_runs, capsys):
     t0 = time.monotonic()
     disagreements = []
-    families = [[complete(3)], [complete(3), complete(3)], [cycle(4)]]
+    families = [
+        [complete(3)],
+        [complete(3), complete(3)],
+        [cycle(4)],
+        [cycle(5)],
+        [wheel(5)],
+    ]
+
+    def answer(r):
+        return r.ex_value, [encode_graph6(w) for w in r.witnesses]
+
     for pats in families:
-        for n in range(1, 7):
-            brute = brute_force_ex(n, pats)
-            filtered = labeled_filter_ex(n, pats)
-            if brute.ex_value != filtered.ex_value:
+        for n in range(8):
+            if answer(brute_force_ex(n, pats)) != answer(labeled_filter_ex(n, pats)):
                 disagreements.append((pats, n))
     elapsed = time.monotonic() - t0
     ok = not disagreements
     detail = (
         f"level search and labeled-space filter return identical ex values "
-        f"for three families at every n <= 6, {elapsed:.1f}s"
+        f"and byte-equal witness lists for K3, 2K3, C4, C5 and W5 at every "
+        f"n <= 7, {elapsed:.1f}s"
         if ok
         else f"disagreements {disagreements}"
     )

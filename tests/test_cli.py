@@ -197,7 +197,9 @@ class TestExitCodes:
     def test_allow_large_lifts_the_order_guard(self, capsys):
         argv = ["brute-force", "--family", "k12", "--n", "11"]
         assert main(argv) == 2
-        assert "HARD_CAP" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "HARD_CAP" in err
+        assert "--allow-large" in err
         assert main(argv + ["--allow-large"]) == 0
         assert "ex 55" in capsys.readouterr().out
 

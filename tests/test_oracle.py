@@ -238,16 +238,23 @@ class TestLabeledFilter:
             labeled_filter_ex(8, [complete(3)])
 
     @staticmethod
-    def exhaustive(n: int, pats) -> tuple[int, int]:
-        """(max edges, count) over the free labeled graphs on n vertices,
-        each built and tested with is_free."""
+    def exhaustive(n: int, pats) -> tuple[int, int, set[bytes]]:
+        """(max edges, count, certificates of the max-edge graphs) over the
+        free labeled graphs on n vertices, each built and tested with
+        is_free."""
         pairs = [(i, j) for j in range(1, n) for i in range(j)]
-        best, count = -1, 0
+        best, count, top = -1, 0, set()
         for mask in range(1 << len(pairs)):
             edges = [p for e, p in enumerate(pairs) if mask >> e & 1]
-            if is_free(SimpleGraph(n, edges), pats):
-                best, count = max(best, len(edges)), count + 1
-        return best, count
+            g = SimpleGraph(n, edges)
+            if not is_free(g, pats):
+                continue
+            count += 1
+            if len(edges) > best:
+                best, top = len(edges), set()
+            if len(edges) == best:
+                top.add(certificate(g))
+        return best, count, top
 
     @pytest.mark.parametrize(
         "pats, top",
@@ -263,7 +270,11 @@ class TestLabeledFilter:
     def test_matches_graph_by_graph_check(self, pats, top):
         for n in range(top + 1):
             r = labeled_filter_ex(n, pats)
-            assert (r.ex_value, r.candidates) == self.exhaustive(n, pats), n
+            best, count, classes = self.exhaustive(n, pats)
+            assert (r.ex_value, r.candidates) == (best, count), n
+            # every extremal class, each once
+            assert len(r.witnesses) == len(classes), n
+            assert {certificate(w) for w in r.witnesses} == classes, n
 
     @pytest.mark.parametrize(
         "pats, expected",
