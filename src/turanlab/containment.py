@@ -4,25 +4,27 @@ Containment is plain subgraph semantics, never induced: an embedding maps
 pattern vertices injectively into the host so that every pattern edge lands
 on a host edge; extra host edges are fine.  A family F_1, ..., F_h is
 contained when there are pairwise vertex-disjoint embeddings of all h
-patterns simultaneously, which the search decides exactly by backtracking
-across patterns (a greedy pattern-at-a-time pass would be wrong).
-
-One recursion, ``_find_disjoint``, does every search across patterns.  The
-through-vertex check runs it with each distinct pattern first and one
-representative of each automorphism orbit of that pattern pinned onto the
-given host vertex.  A pinned copy sets no symmetry bound on the equal copies
-after it: it alone covers the vertex, so it is not interchangeable with
-them, and bounding them could discard the only disjoint system.
+patterns simultaneously.  An embedding of the disjoint union
+F_1 ∪ ... ∪ F_h is exactly such a system, so every family search is one
+search for the family's cached union (``ForbiddenFamily.union``), its
+embedding sliced back into one mapping per member.
 
 Each pattern is compiled once per pinned vertex into a cached plan: the
-slot order (descending degree, then index), the forward neighbours of each
-slot, and lex-leader pairs from the pattern's stabilizer chain.  The
-embedding search keeps one candidate bitset per slot and forward-checks it:
-placing a vertex narrows its neighbours' domains to the host row, and an
-empty domain backtracks at once.  The pairs make it yield exactly one
-embedding per copy (automorphism class of embeddings) instead of |Aut(F)|.
-The first embedding found is a deterministic witness, though not always the
-lexicographically least mapping.
+slot order (component by component, each in descending degree, then index),
+the forward neighbours of each slot, and lex-leader pairs from the pattern's
+stabilizer chain.  The embedding search keeps one candidate bitset per slot
+and forward-checks it: placing a vertex narrows its neighbours' domains to
+the host row, and an empty domain backtracks at once.  The pairs make it
+yield exactly one embedding per copy (automorphism class of embeddings)
+instead of |Aut(F)|.  Aut(F_1 ∪ ... ∪ F_h) swaps equal members, so the same
+pairs order their copies and a system is found once, not once per
+permutation of equal members.  The first embedding found is a deterministic
+witness, though not always the lexicographically least mapping.
+
+The through-vertex check pins one representative of each orbit of
+Aut(union) onto the given host vertex.  The search for the orbit of a vertex
+v starts at v's component: an image of v in a component that v's cannot map
+onto fails there, before any other component is searched.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .coloring import chromatic_number
-from .graphs import SimpleGraph, bits
+from .graphs import SimpleGraph, bits, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,27 @@ class ForbiddenFamily:
     def total_order(self) -> int:
         """Sum of pattern orders: the least host order that can contain all."""
         return sum(p.n for p in self.patterns)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Member i's first vertex in ``union``.  The largest member comes
+        first, so a search fails fast, and equal members sit side by side."""
+        pats = self.patterns
+        order = sorted(
+            range(len(pats)),
+            key=lambda i: (-pats[i].n, -pats[i].edge_count, pats[i].adj, i),
+        )
+        start, shift = [0] * len(pats), 0
+        for i in order:
+            start[i] = shift
+            shift += pats[i].n
+        return tuple(start)
+
+    @cached_property
+    def union(self) -> SimpleGraph:
+        """F_1 ∪ ... ∪ F_h, member i in the block from ``offsets[i]``: a host
+        contains the family exactly when it contains this one graph."""
+        return disjoint_union(p for _, p in sorted(zip(self.offsets, self.patterns)))
 
     @cached_property
     def chromatic_numbers(self) -> tuple[int, ...]:
@@ -163,12 +186,24 @@ def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[i
 
 
 def _slots(pattern: SimpleGraph, pin: int | None) -> _Plan:
-    """The plan without symmetry pairs: descending degree, then index, with
-    ``pin`` first."""
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    if pin is not None:
-        order.remove(pin)
-        order.insert(0, pin)
+    """The plan without symmetry pairs.  The slots go component by component,
+    ``pin``'s first and the others by least vertex (block order in a union),
+    each in descending degree, then index, with ``pin`` first."""
+    comp = list(range(pattern.n))  # the least vertex of v's component
+    for v in range(pattern.n):
+        if comp[v] == v:
+            reach, grow = 0, 1 << v
+            while grow != reach:
+                reach = grow
+                for w in bits(reach):
+                    grow |= pattern.adj[w]
+            for w in bits(reach):
+                comp[w] = v
+    home = None if pin is None else comp[pin]
+    order = sorted(
+        range(pattern.n),
+        key=lambda v: (comp[v] != home, comp[v], v != pin, -pattern.degree(v), v),
+    )
     slot = {v: i for i, v in enumerate(order)}
     fwd = tuple(
         tuple(sorted(slot[w] for w in pattern.neighbors(v) if slot[w] > i))
@@ -241,13 +276,15 @@ def _plan(pattern: SimpleGraph, pin: int | None) -> _Plan:
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _orbit_representatives(pattern: SimpleGraph) -> tuple[int, ...]:
-    """The least vertex of each orbit of Aut(pattern)."""
-    plain = _slots(pattern, None)
+    """The least vertex of each orbit of Aut(pattern).  Each orbit search
+    maps v's component first: in block order, an image of v that v's
+    component cannot map onto fails only after every automorphism of the
+    components before it is tried."""
     reps, seen = [], 0
     for v in range(pattern.n):
         if not seen >> v & 1:
             reps.append(v)
-            seen |= _orbit(pattern, plain, 0, v)
+            seen |= _orbit(pattern, _slots(pattern, v), 0, v)
     return tuple(reps)
 
 
@@ -300,64 +337,21 @@ def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | No
     return None
 
 
-def _search_order(family: ForbiddenFamily) -> list[int]:
-    """Pattern processing order: largest first, equal patterns adjacent."""
-    return sorted(
-        range(len(family)),
-        key=lambda i: (-family[i].n, -family[i].edge_count, family[i].adj, i),
-    )
-
-
-def _find_disjoint(
-    host: SimpleGraph,
-    family: ForbiddenFamily,
-    order: list[int],
-    allowed: int,
-    out: dict[int, tuple[int, ...]],
-    pinned: tuple[int, int] | None = None,
-    prev_min: int = -1,
-) -> bool:
-    """Embed the patterns ``order`` names pairwise disjoint inside
-    ``allowed``, recording mappings in ``out``; ``pinned`` applies to the
-    first pattern, and a first copy must start above host vertex ``prev_min``.
-    """
-    if not order:
-        return True
-    fi, rest = order[0], order[1:]
-    pat = family[fi]
-    # a pinned copy is not interchangeable with its equal neighbour
-    bound_next = pinned is None and bool(rest) and family[rest[0]] == pat
-    for mapping in _iter_embeddings(host, pat, allowed, pinned):
-        least = min(mapping)
-        if least <= prev_min:
-            continue
-        mask = sum(1 << v for v in mapping)
-        out[fi] = mapping
-        if _find_disjoint(
-            host, family, rest, allowed & ~mask, out,
-            prev_min=least if bound_next else -1,
-        ):
-            return True
-        del out[fi]
-    return False
-
-
 def contains_disjoint_family(host: SimpleGraph, family) -> list[Embedding] | None:
     """Pairwise disjoint embeddings of every family member, or None.
 
-    Witnesses are reported in family order.  The search backtracks across
-    patterns, processing the largest pattern first to fail fast; for runs of
-    identical patterns the copies are forced into increasing order of least
-    host vertex, which discards only permutations of interchangeable copies.
+    The witness is the first embedding of the family's union, sliced back
+    into one embedding per member in family order.
     """
     fam = as_family(family)
     if fam.total_order > host.n:
         return None
-    order = _search_order(fam)
-    found: dict[int, tuple[int, ...]] = {}
     allowed = (1 << host.n) - 1
-    if _find_disjoint(host, fam, order, allowed, found):
-        return [Embedding(found[i]) for i in range(len(fam))]
+    for mapping in _iter_embeddings(host, fam.union, allowed):
+        return [
+            Embedding(mapping[start:start + p.n])
+            for start, p in zip(fam.offsets, fam.patterns)
+        ]
     return None
 
 
@@ -374,18 +368,12 @@ def contains_disjoint_family_through(
     fam = as_family(family)
     if fam.total_order > host.n:
         return False
-    order = _search_order(fam)
+    union = fam.union
     allowed = (1 << host.n) - 1
-    for pos, fi in enumerate(order):
-        if pos and fam[order[pos - 1]] == fam[fi]:
-            continue  # an equal pattern already tried covering the vertex
-        pinned_first = [fi] + order[:pos] + order[pos + 1:]
-        # one pin per automorphism orbit finds each copy through the vertex once
-        for pv in _orbit_representatives(fam[fi]):
-            if _find_disjoint(
-                host, fam, pinned_first, allowed, {}, pinned=(pv, vertex)
-            ):
-                return True
+    # one pin per automorphism orbit finds each system through the vertex once
+    for pv in _orbit_representatives(union):
+        for _ in _iter_embeddings(host, union, allowed, pinned=(pv, vertex)):
+            return True
     return False
 
 

@@ -291,7 +291,8 @@ def labeled_filter_ex(
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     index = {p: e for e, p in enumerate(pairs)}
 
-    union = disjoint_union(list(fam))
+    # every relabeling of the union is marked, so its block order is moot
+    union = fam.union
     masks: set[int] = set()
     if union.n <= n:
         uedges = union.edges()

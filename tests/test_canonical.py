@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import random_graph
 from turanlab import (
     SimpleGraph,
     brute_force_ex,
@@ -20,11 +21,6 @@ from turanlab import (
     wheel,
 )
 from turanlab.canonical import _canonical_order, _refine
-
-
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
-    edges = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
-    return SimpleGraph(n, edges)
 
 
 def atlas_graphs() -> list[SimpleGraph]:

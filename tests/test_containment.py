@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import random_graph
 from turanlab import (
     Embedding,
     ForbiddenFamily,
@@ -27,11 +28,6 @@ from turanlab.containment import (
     _orbit_representatives,
     _plan,
 )
-
-
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
-    edges = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
-    return SimpleGraph(n, edges)
 
 
 class TestContainsSubgraph:
@@ -177,12 +173,21 @@ class TestAgainstNetworkx:
         pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
 
-        pool = [complete(3), path(3), cycle(4), cycle(5), wheel(5), complete(4)]
+        pool = [
+            complete(3),
+            path(3),
+            cycle(4),
+            cycle(5),
+            wheel(5),
+            complete(4),
+            complete(1),
+            disjoint_union([complete(2), complete(2)]),
+        ]
         rng = random.Random(47)
         outcomes = set()
         for _ in range(150):
             host = random_graph(rng, rng.randint(3, 8), p=rng.choice([0.3, 0.5, 0.7]))
-            # repeated patterns are drawn often: they take the symmetry bound
+            # repeated patterns are drawn often: Aut(union) swaps them
             fam = [rng.choice(pool)]
             for _ in range(rng.randint(0, 2)):
                 fam.append(fam[-1] if rng.random() < 0.5 else rng.choice(pool))
@@ -235,6 +240,7 @@ class TestOneEmbeddingPerCopy:
         complete_multipartite([2, 2, 2]),
         disjoint_union([complete(2), complete(2)]),
         complete_multipartite([1, 4]),
+        disjoint_union([complete(3), complete(3)]),
     ]
 
     def test_copies_against_networkx(self):

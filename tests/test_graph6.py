@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from helpers import random_graph
 from turanlab import (
     Graph6ParseError,
     SimpleGraph,
@@ -16,11 +17,6 @@ from turanlab import (
     read_graph6_lines,
     write_graph6_lines,
 )
-
-
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
-    edges = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
-    return SimpleGraph(n, edges)
 
 
 # reference tokens from the format's published examples

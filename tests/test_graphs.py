@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import random_graph
 from turanlab import (
     SimpleGraph,
     complete,
@@ -17,11 +18,6 @@ from turanlab import (
     turan_edge_count,
     wheel,
 )
-
-
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
-    edges = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
-    return SimpleGraph(n, edges)
 
 
 class TestSimpleGraph:
