@@ -97,38 +97,24 @@ def wheel_extremal_value(n: int, k: int) -> FormulaValue:
 
 def _component_orders(n0: int, k: int) -> list[int] | None:
     """Split n0 into component orders in [k, 2k-2], at most one odd when
-    the target degree k-1 is odd.  Returns None when impossible."""
-    low, high = k, 2 * k - 2
-    deg_odd = (k - 1) % 2 == 1
-    t_min = -(-n0 // high)
-    t_max = n0 // low
-    for t in range(t_min, t_max + 1):
-        base, rem = divmod(n0, t)
-        sizes = [base + 1] * rem + [base] * (t - rem)
-        if sizes[-1] < low or sizes[0] > high:
-            continue
-        if deg_odd:
-            # parity repair: a component of odd order cannot be (k-1)-regular,
-            # so shift vertices between odd pairs until at most one remains
-            ok = True
-            while ok:
-                odd = [i for i, s in enumerate(sizes) if s % 2 == 1]
-                if len(odd) <= 1:
-                    break
-                i, j = odd[0], odd[1]
-                if sizes[i] + 1 <= high and sizes[j] - 1 >= low:
-                    sizes[i] += 1
-                    sizes[j] -= 1
-                elif sizes[j] + 1 <= high and sizes[i] - 1 >= low:
-                    sizes[j] += 1
-                    sizes[i] -= 1
-                else:
-                    ok = False
-            if not ok:
-                continue
-        sizes.sort(reverse=True)
-        return sizes
-    return None
+    the target degree k-1 is odd.  Returns None when impossible.
+
+    The fewest parts, t = ceil(n0 / (2k-2)), split evenly lie in [k, 2k-2]
+    unless t > n0 // k, and then no t does.  A component of odd order cannot
+    be (k-1)-regular; when k-1 is odd both bounds are even, so the odd parts
+    share one value v with k < v < 2k-2, and each pair becomes v+1 and v-1.
+    """
+    t = -(-n0 // (2 * k - 2))
+    if t > n0 // k:
+        return None
+    base, rem = divmod(n0, t)
+    sizes = [base + 1] * rem + [base] * (t - rem)
+    if (k - 1) % 2 == 1:
+        odd = [i for i, s in enumerate(sizes) if s % 2 == 1]
+        for i, j in zip(odd[::2], odd[1::2]):
+            sizes[i] += 1
+            sizes[j] -= 1
+    return sorted(sizes, reverse=True)
 
 
 def _circulant_rows(c: int, distances: Sequence[int]) -> list[int]:

@@ -21,10 +21,11 @@ pairs order their copies and a system is found once, not once per
 permutation of equal members.  The first embedding found is a deterministic
 witness, though not always the lexicographically least mapping.
 
-The through-vertex check pins one representative of each orbit of
-Aut(union) onto the given host vertex.  The search for the orbit of a vertex
-v starts at v's component: an image of v in a component that v's cannot map
-onto fails there, before any other component is searched.
+The embedding generator owns the through-vertex pins: for the copies
+through a host vertex it runs one search per orbit representative of
+Aut(pattern), pinned on that vertex, so each such copy is found once.  The
+search for the orbit of v starts at v's component: an image of v in a
+component that v's cannot map onto fails there, before any other is searched.
 """
 
 from __future__ import annotations
@@ -289,40 +290,39 @@ def _orbit_representatives(pattern: SimpleGraph) -> tuple[int, ...]:
 
 
 def _iter_embeddings(
-    host: SimpleGraph,
-    pattern: SimpleGraph,
-    allowed: int,
-    pinned: tuple[int, int] | None = None,
+    host: SimpleGraph, pattern: SimpleGraph, through: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield one embedding (a pattern-indexed tuple) per copy of ``pattern``
-    using only ``allowed`` hosts, a copy being an automorphism class of
-    embeddings.
+    """Yield one embedding (a pattern-indexed tuple) per copy of ``pattern``,
+    a copy being an automorphism class of embeddings.
 
-    ``pinned`` forces one pattern vertex onto one host vertex; then one
-    embedding is yielded per copy through that host vertex that can put the
-    pinned vertex on it.  The search forward-checks bitset domains and the
-    first yielded embedding is the deterministic witness.
+    With ``through``, yield one embedding per copy that uses that host
+    vertex: one search per orbit representative of Aut(pattern), pinned on
+    it, finds each such copy exactly once.  The degree domains are built
+    once per call.  The search forward-checks bitset domains and the first
+    yielded embedding is the deterministic witness.
     """
     p = pattern.n
-    if allowed.bit_count() < p:
+    if p > host.n:
         return
-    plan = _plan(pattern, None if pinned is None else pinned[0])
-    adj = host.adj
+    degrees = host.degrees()
     fit: dict[int, int] = {}
-    for need in plan.need:
-        if need not in fit:
-            fit[need] = sum(1 << u for u in bits(allowed) if adj[u].bit_count() >= need)
-    doms = [fit[need] for need in plan.need]
-    if pinned is not None:
-        doms[0] &= 1 << pinned[1]
-    if not all(doms):
-        return
-    order = plan.order
-    for images in _search(plan, adj, doms):
-        result = [0] * p
-        for v, u in zip(order, images):
-            result[v] = u
-        yield tuple(result)
+    pins = (None,) if through is None else _orbit_representatives(pattern)
+    for pin in pins:
+        plan = _plan(pattern, pin)
+        for need in plan.need:
+            if need not in fit:
+                fit[need] = sum(1 << u for u, d in enumerate(degrees) if d >= need)
+        doms = [fit[need] for need in plan.need]
+        if pin is not None:
+            doms[0] &= 1 << through
+        if not all(doms):
+            continue
+        order = plan.order
+        for images in _search(plan, host.adj, doms):
+            result = [0] * p
+            for v, u in zip(order, images):
+                result[v] = u
+            yield tuple(result)
 
 
 def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | None:
@@ -331,8 +331,7 @@ def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | No
     The witness is the first the forward-checking search finds, one per copy
     by the lex-leader pairs: deterministic, but not always the least mapping.
     """
-    allowed = (1 << host.n) - 1
-    for mapping in _iter_embeddings(host, pattern, allowed):
+    for mapping in _iter_embeddings(host, pattern):
         return Embedding(mapping)
     return None
 
@@ -344,10 +343,7 @@ def contains_disjoint_family(host: SimpleGraph, family) -> list[Embedding] | Non
     into one embedding per member in family order.
     """
     fam = as_family(family)
-    if fam.total_order > host.n:
-        return None
-    allowed = (1 << host.n) - 1
-    for mapping in _iter_embeddings(host, fam.union, allowed):
+    for mapping in _iter_embeddings(host, fam.union):
         return [
             Embedding(mapping[start:start + p.n])
             for start, p in zip(fam.offsets, fam.patterns)
@@ -365,15 +361,8 @@ def contains_disjoint_family_through(
     """
     if not 0 <= vertex < host.n:
         raise ValueError(f"vertex {vertex} out of range for a host of order {host.n}")
-    fam = as_family(family)
-    if fam.total_order > host.n:
-        return False
-    union = fam.union
-    allowed = (1 << host.n) - 1
-    # one pin per automorphism orbit finds each system through the vertex once
-    for pv in _orbit_representatives(union):
-        for _ in _iter_embeddings(host, union, allowed, pinned=(pv, vertex)):
-            return True
+    for _ in _iter_embeddings(host, as_family(family).union, vertex):
+        return True
     return False
 
 

@@ -87,7 +87,13 @@ class SimpleGraph:
         rows[v] |= 1 << u
         return SimpleGraph._from_rows(self.n, rows)
 
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+
     def without_edge(self, u: int, v: int) -> "SimpleGraph":
+        self._check_vertex(u)
+        self._check_vertex(v)
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
@@ -96,6 +102,8 @@ class SimpleGraph:
     def induced(self, keep: Iterable[int]) -> "SimpleGraph":
         """Induced subgraph on ``keep``, relabeled 0..len(keep)-1 in sorted order."""
         kept = sorted(set(keep))
+        for v in kept[:1] + kept[-1:]:  # sorted, so the ends bound the rest
+            self._check_vertex(v)
         index = {v: i for i, v in enumerate(kept)}
         rows = [0] * len(kept)
         for v in kept:
@@ -105,6 +113,7 @@ class SimpleGraph:
         return SimpleGraph._from_rows(len(kept), rows)
 
     def without_vertex(self, v: int) -> "SimpleGraph":
+        self._check_vertex(v)
         return self.induced(u for u in range(self.n) if u != v)
 
     def relabel(self, perm: Iterable[int]) -> "SimpleGraph":

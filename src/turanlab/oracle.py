@@ -64,7 +64,7 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError(f"max_candidates must be >= 1, got {self.max_candidates}")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:
             raise ValueError(f"max_seconds must be positive, got {self.max_seconds}")
 
 

@@ -194,6 +194,11 @@ class TestExitCodes:
         doc = json.loads(out.read_text())
         assert doc["exhaustive"] is False
 
+    def test_nan_budget_seconds_is_usage_error(self, capsys):
+        argv = ["brute-force", "--family", "k3", "--n", "8", "--budget-seconds", "nan"]
+        assert main(argv) == 2
+        assert "max_seconds must be positive" in capsys.readouterr().err
+
     def test_allow_large_lifts_the_order_guard(self, capsys):
         argv = ["brute-force", "--family", "k12", "--n", "11"]
         assert main(argv) == 2

@@ -104,6 +104,8 @@ class TestDisjointFamily:
     def test_total_order_exceeds_host(self):
         fam = ForbiddenFamily([complete(3), complete(3)])
         assert contains_disjoint_family(complete(5), fam) is None
+        for v in range(5):
+            assert not contains_disjoint_family_through(complete(5), fam, v)
 
 
 class TestThroughVertex:
@@ -263,18 +265,13 @@ class TestOneEmbeddingPerCopy:
                 for m in matcher.subgraph_monomorphisms_iter()
             ]
             want = {_edge_image(pat, m) for m in monos}
-            allowed = (1 << host.n) - 1
-            got = [_edge_image(pat, m) for m in _iter_embeddings(host, pat, allowed)]
+            got = [_edge_image(pat, m) for m in _iter_embeddings(host, pat)]
             assert len(got) == len(set(got))
             assert set(got) == want
             assert len(got) * len(autos) == len(monos)
             copies += len(got)
             for v in range(host.n):
-                through = [
-                    _edge_image(pat, m)
-                    for r in _orbit_representatives(pat)
-                    for m in _iter_embeddings(host, pat, allowed, pinned=(r, v))
-                ]
+                through = [_edge_image(pat, m) for m in _iter_embeddings(host, pat, v)]
                 assert len(through) == len(set(through))
                 assert set(through) == {
                     img for img in want if any(v in e for e in img)

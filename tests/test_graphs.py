@@ -76,11 +76,17 @@ class TestSimpleGraph:
         h = g.induced([0, 1, 2])
         assert h.n == 3
         assert h.edges() == [(0, 1), (1, 2)]
+        for keep, bad in (([-1, 0], -1), ([0, 3], 3), ([5], 5)):
+            with pytest.raises(ValueError, match=f"vertex {bad}"):
+                path(3).induced(keep)
 
     def test_without_vertex(self):
         g = complete(4)
         h = g.without_vertex(2)
         assert h == complete(3)
+        for v in (7, 3, -1):
+            with pytest.raises(ValueError, match=f"vertex {v}"):
+                path(3).without_vertex(v)
 
     def test_with_edge_is_functional(self):
         g = SimpleGraph(3)
@@ -88,6 +94,9 @@ class TestSimpleGraph:
         assert g.edge_count == 0
         assert h.has_edge(0, 2)
         assert h.without_edge(0, 2) == g
+        for u, v, bad in ((-1, 2, -1), (0, 3, 3)):
+            with pytest.raises(ValueError, match=f"vertex {bad}"):
+                h.without_edge(u, v)
 
 
 class TestBuilders:

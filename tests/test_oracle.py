@@ -152,6 +152,8 @@ class TestBruteForce:
             SearchBudget(max_candidates=0)
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=-1.0)
+        with pytest.raises(ValueError):
+            SearchBudget(max_seconds=float("nan"))
 
 
 class TestMinDegreeLevels:
