@@ -95,9 +95,6 @@ def _canonical_order(g: SimpleGraph) -> tuple[bytes, list[int]]:
     """The certificate and the vertex order whose upper triangle it packs."""
     n = g.n
     adj = g.adj
-    if n <= 1:
-        return _leaf_bytes(n, adj, list(range(n))), list(range(n))
-
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(adj[v].bit_count(), []).append(v)
@@ -165,7 +162,10 @@ def _canonical_order(g: SimpleGraph) -> tuple[bytes, list[int]]:
         return depth - 1
 
     root = _refine(adj, initial, [sum(1 << v for v in c) for c in initial])
-    search(root, ())
+    try:
+        search(root, ())
+    finally:
+        del search  # the closure refers to itself: break the cycle
     return best[0], best[1]
 
 

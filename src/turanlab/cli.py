@@ -21,8 +21,6 @@ from typing import Callable, Sequence
 
 from .coloring import criticality
 from .constructions import (
-    ConstructionRecipe,
-    InfeasibleConstructionError,
     best_feasible_wheel_graph,
     build_from_recipe,
     union_extremal_graph,
@@ -53,7 +51,8 @@ from .stability import min_degree_audit, min_internal_partition, structure_audit
 
 
 # the largest order the CLI builds from a number it reads (wN, kN, cN, pN,
-# turan:N,R, gen --n, stability --r); it bounds allocation and recursion
+# turan:N,R, gen --n, brute-force --n, scan --n-to, stability --r); it
+# bounds allocation and recursion
 MAX_ORDER = 512
 
 
@@ -158,7 +157,7 @@ def build_seeds_provider(
         for ell, k in enumerate(ints, start=1):
             try:
                 out.append(best_feasible_wheel_graph(n, k, ell=ell))
-            except (ValueError, InfeasibleConstructionError):
+            except ValueError:  # InfeasibleConstructionError is one
                 pass
         return out
 
@@ -283,7 +282,7 @@ def _cmd_brute_force(args) -> int:
     seeds = tuple(decode_graph6(s) for s in args.seed_g6 or ())
     try:
         result = brute_force_ex(
-            args.n,
+            _bounded_order(args.n, "brute-force --n"),
             family,
             budget=_budget(args),
             seeds=seeds,
@@ -304,11 +303,12 @@ def _cmd_brute_force(args) -> int:
 
 def _cmd_scan(args) -> int:
     family = parse_family(args.family)
-    if args.n_to < args.n_from:
-        raise ValueError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
+    n_to = _bounded_order(args.n_to, "scan --n-to")
+    if n_to < args.n_from:
+        raise ValueError(f"--n-to {n_to} is below --n-from {args.n_from}")
     report = threshold_scan(
         family,
-        range(args.n_from, args.n_to + 1),
+        range(args.n_from, n_to + 1),
         build_formula(args.formula, family),
         budget=_budget(args),
         seeds_provider=build_seeds_provider(args.formula, family),
@@ -455,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     budgeted.add_argument(
         "--budget-seconds", type=float, default=None,
-        help="abort enumeration after this wall time",
+        help="abort enumeration after this wall time; checked once per admitted"
+        " class, so seed validation and each parent's mask scan run unchecked",
     )
     budgeted.add_argument(
         "--allow-large", action="store_true",

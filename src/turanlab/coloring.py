@@ -63,14 +63,6 @@ def is_k_colorable(g: SimpleGraph, k: int) -> bool:
     """Exact test by backtracking; k >= 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if g.n == 0:
-        return True
-    if k == 0:
-        return False
-    if k >= g.n:
-        return True
-    if k == 1:
-        return g.edge_count == 0
     order = sorted(range(g.n), key=lambda v: -g.adj[v].bit_count())
     pos = {v: i for i, v in enumerate(order)}
     earlier = [
@@ -94,15 +86,14 @@ def is_k_colorable(g: SimpleGraph, k: int) -> bool:
         color[i] = -1
         return False
 
-    return assign(0, 0)
+    try:
+        return assign(0, 0)
+    finally:
+        del assign  # the closure refers to itself: break the cycle
 
 
 def chromatic_number(g: SimpleGraph) -> int:
     """Exact chromatic number; 0 for the null graph, 1 for edgeless graphs."""
-    if g.n == 0:
-        return 0
-    if g.edge_count == 0:
-        return 1
     high = _greedy_coloring_bound(g)
     low = max(2, _greedy_clique_bound(g, high))
     for k in range(low, high):

@@ -26,8 +26,8 @@ supplied provider, so the same evaluator runs against closed forms, known
 tables, or the brute-force oracle.  For families of odd wheels the inner
 values are wheel bracket maxima.
 
-All evaluators are exact integer arithmetic and are total; builders
-validate feasibility and raise instead of silently returning a wrong
+All evaluators are exact integer arithmetic and are total; a recipe
+validates itself and raises instead of silently describing a wrong
 graph.
 """
 
@@ -97,13 +97,16 @@ def wheel_extremal_value(n: int, k: int) -> FormulaValue:
 
 def _component_orders(n0: int, k: int) -> list[int] | None:
     """Split n0 into component orders in [k, 2k-2], at most one odd when
-    the target degree k-1 is odd.  Returns None when impossible.
+    the target degree k-1 is odd.  Returns None when impossible, as for
+    every k < 2, where [k, 2k-2] is empty.
 
     The fewest parts, t = ceil(n0 / (2k-2)), split evenly lie in [k, 2k-2]
     unless t > n0 // k, and then no t does.  A component of odd order cannot
     be (k-1)-regular; when k-1 is odd both bounds are even, so the odd parts
     share one value v with k < v < 2k-2, and each pair becomes v+1 and v-1.
     """
+    if k < 2:
+        return None
     t = -(-n0 // (2 * k - 2))
     if t > n0 // k:
         return None
@@ -214,13 +217,27 @@ class ConstructionRecipe:
     ``ell`` is the size of the dominating clique plus one (ell = 1 means no
     clique layer); ``n0`` the bipartition size carrying the regular layer.
     ``component_layout`` is derived from n0 and k: it lists (order,
-    exactly_regular) per layer component.
+    exactly_regular) per layer component.  A recipe that cannot be built
+    does not exist: construction raises unless ell >= 1, n0 >= k, the far
+    side keeps at least two vertices for its edge, and n0 splits into
+    component orders in [k, 2k-2] (none do when k < 2).
     """
 
     n: int
     k: int
     ell: int
     n0: int
+
+    def __post_init__(self):
+        if self.ell < 1:
+            raise InfeasibleConstructionError(f"need ell >= 1, got ell={self.ell}")
+        n0, k, m = self.n0, self.k, self.n - self.ell + 1
+        if n0 < k or m - n0 < 2 or _component_orders(n0, k) is None:
+            raise InfeasibleConstructionError(
+                f"n0 = {n0} infeasible at inner order {m} for k = {k}: needs"
+                f" n0 >= k, a far side of at least 2, and a split into"
+                f" component orders in [k, 2k-2]"
+            )
 
     @property
     def component_layout(self) -> tuple[tuple[int, bool], ...]:
@@ -244,9 +261,7 @@ class ConstructionRecipe:
         than the one derived from n0 and k."""
         if data.get("schema") != "construction-recipe/1":
             raise ValueError(f"unknown recipe schema: {data.get('schema')!r}")
-        recipe = wheel_construction_recipe(
-            data["n"], data["k"], n0=data["n0"], ell=data["ell"]
-        )
+        recipe = cls(data["n"], data["k"], data["ell"], data["n0"])
         layout = tuple((e["order"], e["regular"]) for e in data["component_layout"])
         if layout != recipe.component_layout:
             raise ValueError(f"component_layout {layout} is not the derived one")
@@ -261,7 +276,7 @@ def _best_n0(m: int, k: int) -> int | None:
     inner order m, ties to the larger n0, or None.  The bracket's steps fall
     by at least 1 per unit of n0, so merging the walks down from its top on
     both sides visits n0 in ranked order."""
-    if m < k + 2:
+    if k < 2 or m < k + 2:
         return None
     top = min(max(_wheel_bracket_scan(m, k).argmax[-1], k), m - 2)
     ranked = heapq.merge(
@@ -286,31 +301,16 @@ def wheel_construction_recipe(
 
     Accepts k = 2 (the layer degenerates to a perfect or near-perfect
     matching); the closed-form guarantees attach only to k >= 3, which the
-    k-gated entry points enforce.
+    k-gated entry points enforce.  The recipe checks its own feasibility.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got ell={ell}")
-    m = n - ell + 1
-    if m < k + 2:
-        raise InfeasibleConstructionError(
-            f"inner order {m} cannot hold a layer of order >= {k}"
-            f" plus a two-vertex far side"
-        )
     if n0 is None:
+        m = n - ell + 1
         n0 = _best_n0(m, k)
-        scan = _wheel_bracket_scan(m, k)
-        if n0 is None or _wheel_bracket(m, k, n0) < scan.value:
+        if n0 is None or _wheel_bracket(m, k, n0) < _wheel_bracket_scan(m, k).value:
             raise InfeasibleConstructionError(
-                f"no maximizer of the bracket at order {m} (argmax {scan.argmax})"
-                f" admits a feasible layer for k={k}"
+                f"no maximizer of the bracket at inner order {m} admits a"
+                f" feasible layer and a far side of at least 2 for k={k}"
             )
-    elif n0 < k or m - n0 < 2 or _component_orders(n0, k) is None:
-        raise InfeasibleConstructionError(
-            f"n0 = {n0} infeasible at inner order {m}: needs n0 >= {k},"
-            f" a far side of at least 2, and a valid component split"
-        )
     return ConstructionRecipe(n, k, ell, n0)
 
 
@@ -322,10 +322,6 @@ def build_from_recipe(recipe: ConstructionRecipe) -> SimpleGraph:
     """
     n0 = recipe.n0
     far = recipe.n - recipe.ell + 1 - n0
-    if far < 2:
-        raise InfeasibleConstructionError(
-            f"far side has {far} vertices, needs at least 2"
-        )
     inner = join([_path_free_layer(n0, recipe.k), SimpleGraph(far)])
     inner = inner.with_edge(n0, n0 + 1)
     return union_extremal_graph(recipe.n, recipe.ell, inner)
@@ -356,17 +352,13 @@ def best_feasible_wheel_graph(n: int, k: int, ell: int = 1) -> SimpleGraph:
     to the best n0 that works, so exhaustive searches can always start from
     a strong verified lower bound.  Accepts k >= 2.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got ell={ell}")
     m = n - ell + 1
     n0 = _best_n0(m, k)
     if n0 is None:
         raise InfeasibleConstructionError(
             f"no feasible n0 at inner order {m} for k={k}"
         )
-    return build_from_recipe(wheel_construction_recipe(n, k, n0=n0, ell=ell))
+    return build_from_recipe(ConstructionRecipe(n, k, ell, n0))
 
 
 # === union formulas ===

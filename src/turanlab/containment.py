@@ -183,7 +183,10 @@ def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[i
                     assign[i] = u
                     yield from extend(i + 1, nd, now)
 
-    yield from extend(0, doms, 0)
+    try:
+        yield from extend(0, doms, 0)
+    finally:
+        del extend  # the closure refers to itself: break the cycle
 
 
 def _slots(pattern: SimpleGraph, pin: int | None) -> _Plan:

@@ -56,7 +56,14 @@ HARD_CAP = 10
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps on an enumeration run; None disables the corresponding cap."""
+    """Caps on an enumeration run; None disables the corresponding cap.
+
+    Both caps are checked once per admitted isomorphism class, so whatever
+    runs before the first check or between two checks runs unchecked: the
+    validation of the seeds, the internal Turán seed's freeness check among
+    them, and the mask scan of each parent.  At large n those alone can far
+    outlast ``max_seconds``.
+    """
 
     max_candidates: int | None = None
     max_seconds: float | None = None
@@ -291,19 +298,19 @@ def labeled_filter_ex(
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     index = {p: e for e, p in enumerate(pairs)}
 
-    # every relabeling of the union is marked, so its block order is moot
+    # every relabeling of the union is marked, so its block order is moot; a
+    # union on more than n vertices has no image, so nothing is marked
     union = fam.union
+    uedges = union.edges()
     masks: set[int] = set()
-    if union.n <= n:
-        uedges = union.edges()
-        for image in permutations(range(n), union.n):
-            m = 0
-            for a, b in uedges:
-                x, y = image[a], image[b]
-                if x > y:
-                    x, y = y, x
-                m |= 1 << index[(x, y)]
-            masks.add(m)
+    for image in permutations(range(n), union.n):
+        m = 0
+        for a, b in uedges:
+            x, y = image[a], image[b]
+            if x > y:
+                x, y = y, x
+            m |= 1 << index[(x, y)]
+        masks.add(m)
 
     # bit m of an int stands for the labeled graph with edge-set mask m; at
     # most C(7,2) = 21 edge slots, so each int has at most 2^21 bits

@@ -239,7 +239,7 @@ def min_internal_partition(
         parts=parts,
         internal_edges=_internal_edges(g, masks),
         theta=theta,
-        w_set=w_set(g, parts, theta) if g.n else (),
+        w_set=w_set(g, parts, theta),
         mode=mode,
     )
 

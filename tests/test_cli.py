@@ -139,6 +139,9 @@ class TestExitCodes:
             ["criticality", "--family", "c1001"],
             ["gen", "--kind", "standard", "--spec", "turan:100000,2"],
             ["gen", "--kind", "wheel", "--n", "100000", "--k", "3"],
+            ["brute-force", "--family", "k3", "--n", "100000", "--allow-large"],
+            ["scan", "--family", "k3", "--formula", "turan:2", "--n-from", "1",
+             "--n-to", "100000", "--allow-large"],
         ],
     )
     def test_orders_above_max_order_are_usage_errors(self, argv, capsys):

@@ -39,9 +39,19 @@ class TestChromaticNumber:
 
     def test_is_k_colorable_monotone(self):
         g = cycle(5)
+        assert not is_k_colorable(g, 0)
+        assert not is_k_colorable(g, 1)
         assert not is_k_colorable(g, 2)
         assert is_k_colorable(g, 3)
         assert is_k_colorable(g, 4)
+        assert is_k_colorable(g, 5)
+        assert is_k_colorable(g, 6)
+        # no vertex needs a color; an edgeless graph needs one
+        assert all(is_k_colorable(SimpleGraph(0), k) for k in (0, 1, 2))
+        assert not is_k_colorable(SimpleGraph(3), 0)
+        assert is_k_colorable(SimpleGraph(3), 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            is_k_colorable(g, -1)
 
     def test_disjoint_union_takes_max(self):
         g = disjoint_union([complete(4), cycle(5)])

@@ -181,6 +181,28 @@ class TestRecipes:
             with pytest.raises(ValueError, match="component_layout"):
                 ConstructionRecipe.from_json_dict({**doc, "component_layout": layout})
 
+    def test_every_recipe_builds_and_reads_back(self):
+        # a recipe validates itself: either construction raises at once, or
+        # its JSON reads back equal and it builds an n-vertex graph
+        built = 0
+        for n in range(-1, 41):
+            for k in range(8):
+                for ell in range(5):
+                    for n0 in range(-1, n + 1):
+                        try:
+                            recipe = ConstructionRecipe(n, k, ell, n0)
+                        except ValueError:
+                            continue
+                        text = recipe.to_json()
+                        back = ConstructionRecipe.from_json_dict(json.loads(text))
+                        assert back == recipe and back.to_json() == text
+                        assert build_from_recipe(recipe).n == n
+                        built += 1
+        assert built > 0
+        for args in [(20, 3, 0, 8), (20, 3, 1, 19), (20, 1, 1, 5), (5, 3, 3, 3)]:
+            with pytest.raises(InfeasibleConstructionError):
+                ConstructionRecipe(*args)
+
     def test_clique_layer_parameter(self):
         # ell-1 dominating clique vertices sit in front of the inner block
         recipe = wheel_construction_recipe(21, 3, ell=2)

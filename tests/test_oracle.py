@@ -1,5 +1,6 @@
 """Exhaustive oracle, labeled-space cross-check, scans, and audits."""
 
+import gc
 import json
 import os
 import subprocess
@@ -20,11 +21,13 @@ from turanlab import (
     canonical_form,
     certificate,
     complete,
+    contains_subgraph,
     cycle,
     decode_graph6,
     disjoint_union,
     encode_graph6,
     is_free,
+    is_k_colorable,
     labeled_filter_ex,
     maximality_audit,
     path,
@@ -154,6 +157,22 @@ class TestBruteForce:
             SearchBudget(max_seconds=-1.0)
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=float("nan"))
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the recursive searches of containment, canonical forms and coloring
+    # are closures that call themselves; each clears its own name when done,
+    # so no call leaves a reference cycle for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_ex(8, [wheel(7)])
+        contains_subgraph(complete(6), cycle(5))
+        certificate(cycle(7))
+        is_k_colorable(cycle(7), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestMinDegreeLevels:
@@ -299,6 +318,9 @@ class TestLabeledFilter:
             assert r.witnesses == (SimpleGraph(n),)
         with pytest.raises(ValueError, match="every graph on 2 vertices"):
             labeled_filter_ex(2, [complete(1)])
+        # a union larger than n marks nothing: all 8 labeled graphs are free
+        r = labeled_filter_ex(3, [complete(4)])
+        assert (r.ex_value, r.candidates, r.witnesses) == (3, 8, (complete(3),))
 
     def test_runs_without_numpy(self):
         code = (
