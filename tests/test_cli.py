@@ -551,6 +551,13 @@ class TestGolden:
                 ],
             ),
             ("gen", ["gen", "--kind", "wheel", "--n", "20", "--k", "3"]),
+            # T(12,2) trips HARD_CAP in the structure audit; T(16,3) is above
+            # EXACT_CAP, so stability takes the local search
+            ("verify", ["verify", "--in", str(GOLDEN / "graphs.g6"),
+                        "--family", "k3,k3"]),
+            ("criticality", ["criticality", "--family", "w7,w6,k4,c5,g6:Bw"]),
+            ("stability", ["stability", "--in", str(GOLDEN / "graphs.g6"),
+                           "--r", "3", "--theta", "0.25"]),
         ],
     )
     def test_outputs_are_unchanged(self, name, argv, tmp_path, capsys):
