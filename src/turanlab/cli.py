@@ -145,31 +145,34 @@ def build_seeds_provider(
     """
     kind, ints = _parse_formula_spec(spec)
 
-    def candidates(n: int) -> list[SimpleGraph]:
+    def provide(n: int) -> tuple[SimpleGraph, ...]:
         if kind == "turan":
-            return [turan(n, ints[0])]
-        if kind == "union-turan":
-            return [
+            graphs = [turan(n, ints[0])]
+        elif kind == "union-turan":
+            graphs = [
                 union_extremal_graph(n, ell, turan(n - ell + 1, ints[0]))
                 for ell in range(1, min(len(family), n) + 1)
             ]
-        out = []
-        for ell, k in enumerate(ints, start=1):
-            try:
-                out.append(best_feasible_wheel_graph(n, k, ell=ell))
-            except ValueError:  # InfeasibleConstructionError is one
-                pass
-        return out
-
-    def provide(n: int) -> tuple[SimpleGraph, ...]:
-        return tuple(g for g in candidates(n) if is_free(g, family))
+        else:
+            graphs = []
+            for ell, k in enumerate(ints, start=1):
+                try:
+                    graphs.append(best_feasible_wheel_graph(n, k, ell=ell))
+                except ValueError:  # InfeasibleConstructionError is one
+                    pass
+        return tuple(g for g in graphs if is_free(g, family))
 
     return provide
 
 
-def _write(path: str, text: str):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _emit(args, text: str, doc: dict | None, code: int = 0) -> int:
+    """The one report writer: print ``text``, write ``doc`` to ``--json``
+    when that path is given, and return the exit code."""
+    sys.stdout.write(text)
+    if args.json:
+        with open(args.json, "w") as fh:
+            fh.write(json_doc(doc))
+    return code
 
 
 def _read_graph_input(path: str) -> list[SimpleGraph]:
@@ -194,21 +197,19 @@ def _budget(args) -> SearchBudget | None:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "wheel":
+    doc = None
+    if args.spec is None:
         if args.n is None or args.k is None:
-            raise ValueError("gen --kind wheel needs --n and --k")
+            raise ValueError("gen needs --n and --k, or --spec")
         if args.k < 3:
             raise ValueError(f"wheel construction needs k >= 3, got {args.k}")
         n = _bounded_order(args.n, "gen --n")
         recipe = wheel_construction_recipe(n, args.k, n0=args.n0, ell=args.ell)
         g = build_from_recipe(recipe)
-        if args.json:
-            _write(args.json, recipe.to_json())
+        doc = recipe.to_json_dict()
+    elif any(x is not None for x in (args.n, args.k, args.n0, args.json)):
+        raise ValueError("gen --spec takes no --n, --k, --n0 or --json")
     else:
-        if args.spec is None:
-            raise ValueError("gen --kind standard needs --spec")
-        if args.json:
-            raise ValueError("--json recipes exist only for --kind wheel")
         t = args.spec.strip()
         if t.startswith("turan:"):
             nr = _parse_int_list(t[len("turan:"):], "turan spec")
@@ -217,11 +218,7 @@ def _cmd_gen(args) -> int:
             g = turan(_bounded_order(nr[0], f"turan spec {t!r}"), nr[1])
         else:
             g = parse_pattern_token(t)
-    line = write_graph6_lines([g])
-    sys.stdout.write(line)
-    if args.out:
-        _write(args.out, line)
-    return 0
+    return _emit(args, write_graph6_lines([g]), doc)
 
 
 def _cmd_ex_formula(args) -> int:
@@ -260,21 +257,7 @@ def _cmd_ex_formula(args) -> int:
         raise ValueError(
             f"ex-formula takes no family; scan --family evaluates {args.formula!r}"
         )
-    sys.stdout.write("\n".join([f"value {doc['value']}"] + notes) + "\n")
-    if args.json:
-        _write(args.json, json_doc(doc))
-    return 0
-
-
-def _result_text(result) -> str:
-    lines = [
-        f"n {result.n}",
-        f"ex {result.ex_value}",
-        f"exhaustive {'true' if result.exhaustive else 'false'}",
-        f"candidates {result.candidates}",
-    ]
-    lines += [f"witness {encode_graph6(w)}" for w in result.witnesses]
-    return "\n".join(lines) + "\n"
+    return _emit(args, "\n".join([f"value {doc['value']}"] + notes) + "\n", doc)
 
 
 def _cmd_brute_force(args) -> int:
@@ -290,14 +273,17 @@ def _cmd_brute_force(args) -> int:
         )
     except BudgetExceededError as err:
         sys.stderr.write(f"budget exceeded: {err}\n")
-        if args.json:
-            _write(args.json, err.partial.to_json())
-        return 3
-    sys.stdout.write(_result_text(result))
-    if args.json:
-        _write(args.json, result.to_json())
+        return _emit(args, "", err.partial.to_json_dict(), 3)
+    lines = [
+        f"n {result.n}",
+        f"ex {result.ex_value}",
+        f"exhaustive {'true' if result.exhaustive else 'false'}",
+        f"candidates {result.candidates}",
+    ] + [f"witness {encode_graph6(w)}" for w in result.witnesses]
+    _emit(args, "\n".join(lines) + "\n", result.to_json_dict())
     if args.graph6:
-        _write(args.graph6, write_graph6_lines(result.witnesses))
+        with open(args.graph6, "w") as fh:
+            fh.write(write_graph6_lines(result.witnesses))
     return 0
 
 
@@ -314,10 +300,8 @@ def _cmd_scan(args) -> int:
         seeds_provider=build_seeds_provider(args.formula, family),
         allow_large=args.allow_large,
     )
-    sys.stdout.write(report.to_text())
-    if args.json:
-        _write(args.json, report.to_json())
-    return 3 if any(r.match is None for r in report.rows) else 0
+    code = 3 if any(r.match is None for r in report.rows) else 0
+    return _emit(args, report.to_text(), report.to_json_dict(), code)
 
 
 def _cmd_verify(args) -> int:
@@ -338,27 +322,22 @@ def _cmd_verify(args) -> int:
     records = []
     for idx, g in enumerate(graphs, start=1):
         free = is_free(g, family)
-        maximal = None
-        audit = None
-        audit_error = None
+        maximal = audit = audit_error = None
         if free:
             maximal = maximality_audit(g, family).maximal
             try:
                 audit = structure_audit(g, family, provider)
             except (ValueError, BudgetExceededError) as err:
                 audit_error = str(err)
-        if not free:
-            parts = ["free no", "maximal -", "structure -"]
-        else:
-            parts = [
-                "free yes",
-                f"maximal {'yes' if maximal else 'no'}",
-            ]
-            if audit is not None:
-                verdict = "pass" if audit.passed else "fail"
-                parts.append(f"structure {verdict} (q={audit.q}, ell={audit.ell})")
+                verdict = f"unknown ({audit_error})"
             else:
-                parts.append(f"structure unknown ({audit_error})")
+                verdict = "pass" if audit.passed else "fail"
+                verdict += f" (q={audit.q}, ell={audit.ell})"
+            parts = ["free yes", f"maximal {'yes' if maximal else 'no'}",
+                     f"structure {verdict}"]
+        else:
+            parts = ["free no", "maximal -", "structure -"]
+        # printed per graph: a structure audit can run the oracle for long
         sys.stdout.write(
             f"graph {idx} (n={g.n}, e={g.edge_count}): " + " | ".join(parts) + "\n"
         )
@@ -374,14 +353,9 @@ def _cmd_verify(args) -> int:
                 "structure_error": audit_error,
             }
         )
-    if args.json:
-        doc = {
-            "schema": "verify-report/1",
-            "family": [encode_graph6(p) for p in family],
-            "graphs": records,
-        }
-        _write(args.json, json_doc(doc))
-    return 0
+    family_g6 = [encode_graph6(p) for p in family]
+    doc = {"schema": "verify-report/1", "family": family_g6, "graphs": records}
+    return _emit(args, "", doc)
 
 
 def _cmd_criticality(args) -> int:
@@ -409,10 +383,8 @@ def _cmd_criticality(args) -> int:
                 "edge_witness": list(rep.edge_witness) if rep.edge_witness else None,
             }
         )
-    sys.stdout.write("\n".join(lines) + "\n")
-    if args.json:
-        _write(args.json, json_doc({"schema": "criticality-report/1", "patterns": records}))
-    return 0
+    doc = {"schema": "criticality-report/1", "patterns": records}
+    return _emit(args, "\n".join(lines) + "\n", doc)
 
 
 def _cmd_stability(args) -> int:
@@ -439,9 +411,7 @@ def _cmd_stability(args) -> int:
         entry = diag.to_json_dict()
         entry["min_degree_audit"] = audit
         docs.append(entry)
-    if args.json:
-        _write(args.json, json_doc({"schema": "stability-report/1", "graphs": docs}))
-    return 0
+    return _emit(args, "", {"schema": "stability-report/1", "graphs": docs})
 
 
 # === parser ===
@@ -472,16 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gen",
-        help="emit a construction or standard graph as graph6",
+        help="emit the wheel construction (--n, --k) or a standard graph "
+        "(--spec) as graph6",
     )
-    p.add_argument("--kind", required=True, choices=["wheel", "standard"])
     p.add_argument("--n", type=int, help="order of the wheel construction")
     p.add_argument("--k", type=int, help="wheel parameter (forbids the wheel on 2k+1)")
     p.add_argument("--n0", type=int, default=None, help="bipartition size override")
     p.add_argument("--ell", type=int, default=1, help="clique layer parameter (default 1)")
-    p.add_argument("--spec", help="standard graph token (wN/kN/cN/pN/g6:... or turan:N,R)")
-    p.add_argument("--out", help="also write the graph6 line to this file")
-    p.add_argument("--json", help="write the construction recipe JSON here (wheel only)")
+    p.add_argument(
+        "--spec", help="standard graph token (wN/kN/cN/pN/g6:... or turan:N,R) "
+        "instead of the wheel construction",
+    )
+    p.add_argument("--json", help="write the construction recipe JSON here")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(

@@ -14,6 +14,7 @@ import turanlab.cli
 from turanlab import (
     brute_force_ex,
     build_from_recipe,
+    complete,
     decode_graph6,
     encode_graph6,
     is_free,
@@ -117,7 +118,7 @@ class TestExitCodes:
         # the order guard is the oracle's HARD_CAP; no subcommand takes --seed
         argv = ["brute-force", "--family", "k3", "--n", "4", "--hard-cap", "12"]
         assert main(argv) == 2
-        assert main(["gen", "--kind", "standard", "--spec", "k3", "--seed", "1"]) == 2
+        assert main(["gen", "--spec", "k3", "--seed", "1"]) == 2
         # the graph's order picks the stability partition method and its seed
         for old in (["--cap", "20"], ["--mode", "exact"], ["--starts", "5"],
                     ["--seed", "0"]):
@@ -130,6 +131,13 @@ class TestExitCodes:
         argv = ["scan", "--family", "k3", "--formula", "turan:2", "--n-from", "3",
                 "--n-to", "4", "--no-seeds"]
         assert main(argv) == 2
+        # gen builds the wheel construction unless --spec is given, and its
+        # graph6 line goes to stdout only
+        capsys.readouterr()
+        for argv in (["gen", "--kind", "wheel", "--n", "20", "--k", "3"],
+                     ["gen", "--spec", "c5", "--out", "f"]):
+            assert main(argv) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -137,8 +145,8 @@ class TestExitCodes:
             ["brute-force", "--family", "k100000", "--n", "5"],
             ["criticality", "--family", "c100000"],
             ["criticality", "--family", "c1001"],
-            ["gen", "--kind", "standard", "--spec", "turan:100000,2"],
-            ["gen", "--kind", "wheel", "--n", "100000", "--k", "3"],
+            ["gen", "--spec", "turan:100000,2"],
+            ["gen", "--n", "100000", "--k", "3"],
             ["brute-force", "--family", "k3", "--n", "100000", "--allow-large"],
             ["scan", "--family", "k3", "--formula", "turan:2", "--n-from", "1",
              "--n-to", "100000", "--allow-large"],
@@ -163,7 +171,7 @@ class TestExitCodes:
         assert main(["verify", "--in", str(bad), "--family", "k3"]) == 2
 
     def test_infeasible_construction_is_usage_error(self, capsys):
-        assert main(["gen", "--kind", "wheel", "--n", "9", "--k", "3"]) == 2
+        assert main(["gen", "--n", "9", "--k", "3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
@@ -290,38 +298,45 @@ class TestBruteForce:
         )
         assert code == 0
         assert "ex 9" in capsys.readouterr().out
+        argv = ["brute-force", "--family", "k3", "--n", "4", "--seed-g6",
+                encode_graph6(complete(4))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed contains the forbidden family\n"
 
 
 class TestGen:
     def test_wheel_graph_and_recipe(self, tmp_path, capsys):
         recipe = tmp_path / "recipe.json"
-        code = main(
-            ["gen", "--kind", "wheel", "--n", "20", "--k", "3", "--json", str(recipe)]
-        )
-        assert code == 0
+        assert main(["gen", "--n", "20", "--k", "3", "--json", str(recipe)]) == 0
         g = decode_graph6(capsys.readouterr().out.strip())
         assert g.n == 20
         assert g.edge_count == 111
         doc = json.loads(recipe.read_text())
         assert doc["schema"] == "construction-recipe/1"
+        # without --spec, gen builds the wheel construction
+        for argv in (["gen"], ["gen", "--n", "20"], ["gen", "--k", "3"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: gen needs --n and --k, or --spec\n"
 
-    def test_standard_tokens(self, capsys):
-        assert main(["gen", "--kind", "standard", "--spec", "turan:9,3"]) == 0
+    def test_standard_tokens(self, tmp_path, capsys):
+        assert main(["gen", "--spec", "turan:9,3"]) == 0
         g = decode_graph6(capsys.readouterr().out.strip())
         assert g == turan(9, 3)
+        # the wheel construction's options are errors next to --spec
+        for extra in (["--n", "20"], ["--k", "3"], ["--n0", "8"],
+                      ["--json", str(tmp_path / "r.json")]):
+            assert main(["gen", "--spec", "c5"] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "gen --spec takes no --n, --k, --n0 or --json" in captured.err
+        assert not (tmp_path / "r.json").exists()
 
     def test_n0_and_ell_overrides(self, capsys):
-        argv = ["gen", "--kind", "wheel", "--n", "20", "--k", "3", "--n0", "8",
-                "--ell", "2"]
+        argv = ["gen", "--n", "20", "--k", "3", "--n0", "8", "--ell", "2"]
         assert main(argv) == 0
         recipe = wheel_construction_recipe(20, 3, n0=8, ell=2)
         expected = write_graph6_lines([build_from_recipe(recipe)])
         assert capsys.readouterr().out == expected
-
-    def test_out_file_matches_stdout(self, tmp_path, capsys):
-        path = tmp_path / "g.g6"
-        main(["gen", "--kind", "standard", "--spec", "c5", "--out", str(path)])
-        assert path.read_text() == capsys.readouterr().out
 
 
 class TestScan:
@@ -550,7 +565,7 @@ class TestGolden:
                     "--n-from", "6", "--n-to", "8",
                 ],
             ),
-            ("gen", ["gen", "--kind", "wheel", "--n", "20", "--k", "3"]),
+            ("gen", ["gen", "--n", "20", "--k", "3"]),
             # T(12,2) trips HARD_CAP in the structure audit; T(16,3) is above
             # EXACT_CAP, so stability takes the local search
             ("verify", ["verify", "--in", str(GOLDEN / "graphs.g6"),

@@ -269,6 +269,11 @@ class TestUnionFormula:
         provider = lambda m, ell: turan_edge_count(m, 2)
         for n in range(1, 12):
             assert union_extremal_value(n, fam, provider).value == n * n // 4
+        # no layer fits at n = 0; at n = 1 only l = 1 does
+        with pytest.raises(ValueError, match="no valid layer count"):
+            union_extremal_value(0, fam, provider)
+        two = ForbiddenFamily([complete(3), complete(3)])
+        assert union_extremal_value(1, two, provider).argmax == (1,)
 
     def test_union_graph_shape(self):
         inner = turan(8, 2)

@@ -23,6 +23,7 @@ from turanlab import (
     wheel,
 )
 from turanlab.containment import (
+    Embedding,
     PLAN_CACHE_SIZE,
     _iter_embeddings,
     _orbit_representatives,
@@ -35,6 +36,9 @@ class TestContainsSubgraph:
         emb = contains_subgraph(complete(5), complete(3))
         assert emb is not None
         assert embedding_is_valid(complete(5), complete(3), emb)
+        # not injective, off the host, and too short
+        for m in ((0, 0, 1), (0, 1, 7), (0, 1)):
+            assert not embedding_is_valid(complete(4), complete(3), Embedding(m))
 
     def test_triangle_not_in_bipartite(self):
         assert contains_subgraph(turan(8, 2), complete(3)) is None

@@ -102,6 +102,8 @@ class TestBruteForce:
             brute_force_ex(5, [complete(3)], seeds=(complete(4),))
         with pytest.raises(ValueError):
             brute_force_ex(5, [complete(3)], seeds=(turan(4, 2),))
+        with pytest.raises(ValueError, match="seed contains the forbidden family"):
+            brute_force_ex(6, [complete(3)], seeds=[complete(6)])
 
     def test_seeds_do_not_change_answer(self):
         fam = [complete(3), complete(3)]

@@ -80,6 +80,8 @@ class TestMinInternalPartition:
         assert a.mode == "local-search"
         assert min_internal_partition(g, 2).parts == a.parts
         assert is_vertex_move_optimal(g, a.parts)
+        # every vertex of K3 would leave the full part for the empty one
+        assert not is_vertex_move_optimal(complete(3), [(0, 1, 2), ()])
 
     def test_json_shape(self):
         diag = min_internal_partition(cycle(5), 2)
