@@ -204,11 +204,12 @@ def _cmd_gen(args) -> int:
         if args.k < 3:
             raise ValueError(f"wheel construction needs k >= 3, got {args.k}")
         n = _bounded_order(args.n, "gen --n")
-        recipe = wheel_construction_recipe(n, args.k, n0=args.n0, ell=args.ell)
+        ell = 1 if args.ell is None else args.ell
+        recipe = wheel_construction_recipe(n, args.k, n0=args.n0, ell=ell)
         g = build_from_recipe(recipe)
         doc = recipe.to_json_dict()
-    elif any(x is not None for x in (args.n, args.k, args.n0, args.json)):
-        raise ValueError("gen --spec takes no --n, --k, --n0 or --json")
+    elif any(x is not None for x in (args.n, args.k, args.n0, args.ell, args.json)):
+        raise ValueError("gen --spec takes no --n, --k, --n0, --ell or --json")
     else:
         t = args.spec.strip()
         if t.startswith("turan:"):
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="order of the wheel construction")
     p.add_argument("--k", type=int, help="wheel parameter (forbids the wheel on 2k+1)")
     p.add_argument("--n0", type=int, default=None, help="bipartition size override")
-    p.add_argument("--ell", type=int, default=1, help="clique layer parameter (default 1)")
+    p.add_argument("--ell", type=int, help="clique layer parameter (default 1)")
     p.add_argument(
         "--spec", help="standard graph token (wN/kN/cN/pN/g6:... or turan:N,R) "
         "instead of the wheel construction",

@@ -18,8 +18,26 @@ the host row, and an empty domain backtracks at once.  The pairs make it
 yield exactly one embedding per copy (automorphism class of embeddings)
 instead of |Aut(F)|.  Aut(F_1 ∪ ... ∪ F_h) swaps equal members, so the same
 pairs order their copies and a system is found once, not once per
-permutation of equal members.  The first embedding found is a deterministic
-witness, though not always the lexicographically least mapping.
+permutation of equal members.
+
+Host twins are branched on once.  Two host vertices are twins when they
+share an open neighbourhood (false twins: the far side of K_{n0,n-n0}) or a
+closed one (true twins: the vertices of a clique), and swapping two twins
+is an automorphism of the host.  Once a slot has tried a vertex it tries
+none of that vertex's twins: target-side symmetry breaking (Zampelli,
+Deville and Dupont, "Symmetry breaking in subgraph pattern matching",
+SymCon 2006) on top of the pattern-side lex-leader pairs (Crawford,
+Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search problems",
+KR 1996).  Both are exact together: in the orbit of any embedding under
+Aut(F) and the twin swaps that fix the pinned vertex, the lex-least
+assignment in slot order meets every pair, and it passes the twin rule,
+since a smaller unused twin swapped in would give a smaller assignment.
+So a search finds an embedding exactly when one exists, and one embedding
+of every copy up to twin swaps.  The first embedding found, the witness, is
+the lex-least in slot order of those that meet the pairs, which is also the
+lex-least of all.  The paper's constructions are made almost wholly of
+twins, so a wheel-freeness check that failed once per twin fails once per
+class.
 
 The embedding generator owns the through-vertex pins: for the copies
 through a host vertex it runs one search per orbit representative of
@@ -31,8 +49,9 @@ component that v's cannot map onto fails there, before any other is searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from functools import cached_property, lru_cache, partial
+from itertools import compress
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .coloring import chromatic_number
 from .graphs import SimpleGraph, bits, disjoint_union
@@ -128,6 +147,34 @@ def as_family(family) -> ForbiddenFamily:
 PLAN_CACHE_SIZE = 256  # compiled plans kept; a miss only recompiles one
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _units(n: int) -> tuple[int, ...]:
+    """The singleton masks ``1 << u`` for u < n, kept for as many host
+    orders as there are plans."""
+    return tuple(1 << u for u in range(n))
+
+
+def _twins(host: SimpleGraph) -> list[int]:
+    """The mask of each host vertex's twin class.
+
+    False twins share an open neighbourhood (the far side of a complete
+    bipartite graph), true twins a closed one (the vertices of a clique);
+    swapping two twins is an automorphism.  One dict holds both kinds of
+    row: N(x) = N[y] is impossible, since it puts y in N(x) but x outside
+    N[y].  A vertex with a false twin w and a true twin x cannot exist (x
+    would be adjacent to w but not in N[w] = N[x]), so the union of the two
+    masks is the class.
+    """
+    units = _units(host.n)
+    cls: dict[int, int] = {}
+    get = cls.get
+    for row, unit in zip(host.adj, units):
+        cls[row] = get(row, 0) | unit
+        row |= unit
+        cls[row] = get(row, 0) | unit
+    return [cls[row] | cls[row | unit] for row, unit in zip(host.adj, units)]
+
+
 class _Plan(NamedTuple):
     """How to search one pattern, compiled once per (pattern, pinned vertex).
 
@@ -143,7 +190,12 @@ class _Plan(NamedTuple):
     above: tuple[tuple[int, ...], ...]
 
 
-def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[int]]:
+def _search(
+    plan: _Plan,
+    adj: Sequence[int],
+    doms: list[int],
+    twins: Callable[[], Sequence[int]],
+) -> Iterator[list[int]]:
     """Yield slot-indexed host assignments, slot i drawn from ``doms[i]``.
 
     Forward checking on candidate bitsets (McCreesh, Prosser and Trimble,
@@ -151,13 +203,21 @@ def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[i
     row into each forward neighbour's domain, which also removes the used
     vertices, and a lex-leader partner's domain keeps only the vertices
     above the image; a domain that empties backtracks at once.  Candidates
-    go in ascending host order.  The yielded list is reused.
+    go in ascending host order, and once u has been tried at a slot, none
+    of u's twins is tried there, ``twins()[u]`` being the mask of u's
+    class: it yields one assignment per class up to swapping host twins,
+    and the lex-least valid assignment that meets the pairs among them.
+    ``twins`` is called once, when a slot first moves on to another
+    candidate, so a search that succeeds on its first descent never builds
+    the masks.  The yielded list is reused.
     """
     p = len(plan.order)
     fwd, above = plan.fwd, plan.above
     assign = [0] * p
+    twin: Sequence[int] = ()
 
     def extend(i: int, doms: list[int], used: int) -> Iterator[list[int]]:
+        nonlocal twin
         if i == p:
             yield assign
             return
@@ -182,6 +242,10 @@ def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[i
                 else:
                     assign[i] = u
                     yield from extend(i + 1, nd, now)
+            if cand:
+                if not twin:
+                    twin = twins()
+                cand &= ~twin[u]
 
     try:
         yield from extend(0, doms, 0)
@@ -246,7 +310,7 @@ def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
             1 << x if fixed >> x & 1 else 1 << w if x == v else same[x]
             for x in plain.order
         ]
-        for images in _search(plain, pattern.adj, doms):
+        for images in _search(plain, pattern.adj, doms, partial(_units, p)):
             for x, image in zip(plain.order, images):
                 root[find(x)] = find(image)
             break
@@ -278,7 +342,6 @@ def _plan(pattern: SimpleGraph, pin: int | None) -> _Plan:
     return _Plan(plain.order, plain.need, plain.fwd, tuple(above))
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _orbit_representatives(pattern: SimpleGraph) -> tuple[int, ...]:
     """The least vertex of each orbit of Aut(pattern).  Each orbit search
     maps v's component first: in block order, an image of v that v's
@@ -292,36 +355,49 @@ def _orbit_representatives(pattern: SimpleGraph) -> tuple[int, ...]:
     return tuple(reps)
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plans(pattern: SimpleGraph, pinned: bool) -> tuple[_Plan, ...]:
+    """Every plan one search needs, in one cache lookup: the unpinned plan,
+    or one plan pinned on each orbit representative of Aut(pattern)."""
+    if not pinned:
+        return (_plan(pattern, None),)
+    return tuple(_plan(pattern, pin) for pin in _orbit_representatives(pattern))
+
+
 def _iter_embeddings(
     host: SimpleGraph, pattern: SimpleGraph, through: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield one embedding (a pattern-indexed tuple) per copy of ``pattern``,
-    a copy being an automorphism class of embeddings.
+    """Yield one embedding (a pattern-indexed tuple) per copy of ``pattern``
+    up to swapping host twins, a copy being an automorphism class of
+    embeddings: every copy is the image of a yielded one under swaps within
+    twin classes, and no two yielded ones are the same copy.
 
-    With ``through``, yield one embedding per copy that uses that host
-    vertex: one search per orbit representative of Aut(pattern), pinned on
-    it, finds each such copy exactly once.  The degree domains are built
-    once per call.  The search forward-checks bitset domains and the first
-    yielded embedding is the deterministic witness.
+    With ``through``, yield one embedding per such class of copies that use
+    that host vertex, the swaps fixing it: one search per orbit
+    representative of Aut(pattern), pinned on it.  The degree domains are
+    built once per call, and the twin classes only by a search that moves
+    on from a tried candidate.  The first yielded embedding, the witness, is
+    the lex-least (in slot order) of the embeddings that meet the lex-leader
+    pairs.
     """
     p = pattern.n
     if p > host.n:
         return
     degrees = host.degrees()
+    units = _units(host.n)
     fit: dict[int, int] = {}
-    pins = (None,) if through is None else _orbit_representatives(pattern)
-    for pin in pins:
-        plan = _plan(pattern, pin)
+    for plan in _plans(pattern, through is not None):
+        doms = []
         for need in plan.need:
             if need not in fit:
-                fit[need] = sum(1 << u for u, d in enumerate(degrees) if d >= need)
-        doms = [fit[need] for need in plan.need]
-        if pin is not None:
-            doms[0] &= 1 << through
+                fit[need] = sum(compress(units, map(need.__le__, degrees)))
+            doms.append(fit[need])
+        if through is not None:
+            doms[0] &= units[through]
         if not all(doms):
             continue
         order = plan.order
-        for images in _search(plan, host.adj, doms):
+        for images in _search(plan, host.adj, doms, partial(_twins, host)):
             result = [0] * p
             for v, u in zip(order, images):
                 result[v] = u
@@ -331,8 +407,10 @@ def _iter_embeddings(
 def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | None:
     """An embedding of ``pattern`` in ``host`` (subgraph semantics), or None.
 
-    The witness is the first the forward-checking search finds, one per copy
-    by the lex-leader pairs: deterministic, but not always the least mapping.
+    The witness is the first the forward-checking search finds: the
+    lex-least, in the slot order of ``_plan(pattern, None)``, of the
+    embeddings that meet the lex-leader pairs, which twin pruning never
+    skips.
     """
     for mapping in _iter_embeddings(host, pattern):
         return Embedding(mapping)

@@ -323,12 +323,12 @@ class TestGen:
         g = decode_graph6(capsys.readouterr().out.strip())
         assert g == turan(9, 3)
         # the wheel construction's options are errors next to --spec
-        for extra in (["--n", "20"], ["--k", "3"], ["--n0", "8"],
+        for extra in (["--n", "20"], ["--k", "3"], ["--n0", "8"], ["--ell", "3"],
                       ["--json", str(tmp_path / "r.json")]):
             assert main(["gen", "--spec", "c5"] + extra) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "gen --spec takes no --n, --k, --n0 or --json" in captured.err
+            assert "gen --spec takes no --n, --k, --n0, --ell or --json" in captured.err
         assert not (tmp_path / "r.json").exists()
 
     def test_n0_and_ell_overrides(self, capsys):

@@ -135,6 +135,18 @@ class TestWheelConstruction:
             assert contains_subgraph(wheel_extremal_graph(n, 3), wheel(7)) is None
         assert contains_subgraph(wheel_extremal_graph(12, 4), wheel(9)) is None
 
+    def test_union_construction_is_union_free(self):
+        # K1 ∨ (best k=3 construction on n - 1 vertices) avoids W7 ∪ W7
+        buildable = []
+        for n in range(31):
+            try:
+                g = best_feasible_wheel_graph(n, 3, ell=2)
+            except InfeasibleConstructionError:
+                continue
+            assert is_free(g, [wheel(7), wheel(7)]), n
+            buildable.append(n)
+        assert buildable == list(range(6, 31))
+
     def test_explicit_bipartition_override(self):
         g = wheel_extremal_graph(9, 3, n0=4)
         assert g.n == 9

@@ -9,6 +9,7 @@ from turanlab import (
     Embedding,
     ForbiddenFamily,
     SimpleGraph,
+    best_feasible_wheel_graph,
     complete,
     complete_multipartite,
     contains_disjoint_family,
@@ -18,6 +19,7 @@ from turanlab import (
     disjoint_union,
     embedding_is_valid,
     is_free,
+    join,
     path,
     turan,
     wheel,
@@ -162,6 +164,23 @@ def _disjoint_choice(images, need=None, used=frozenset()) -> bool:
     )
 
 
+def _blow_up(rng: random.Random) -> SimpleGraph:
+    """A random graph on 2..4 vertices with each vertex blown up into a
+    block of 1..3 twins, independent or a clique, and each edge into a
+    complete bipartite join: a host rich in both kinds of twins."""
+    base = random_graph(rng, rng.randint(2, 4))
+    blocks, start = [], 0
+    for _ in range(base.n):
+        size = rng.randint(1, 3)
+        blocks.append(range(start, start + size))
+        start += size
+    edges = [(a, b) for u, v in base.edges() for a in blocks[u] for b in blocks[v]]
+    for block in blocks:
+        if rng.random() < 0.5:
+            edges += [(a, b) for a in block for b in block if a < b]
+    return SimpleGraph(start, edges)
+
+
 def _to_nx(g: SimpleGraph):
     import networkx as nx
 
@@ -229,9 +248,37 @@ def _edge_image(pattern: SimpleGraph, mapping) -> frozenset:
     return frozenset(frozenset((mapping[u], mapping[v])) for u, v in pattern.edges())
 
 
+def _twin_swaps(hx, fixed=None) -> list[tuple[int, int]]:
+    """The transpositions of twins in the networkx graph ``hx`` (equal
+    neighbourhoods apart from each other), leaving ``fixed`` alone."""
+    return [
+        (a, b)
+        for a in hx
+        for b in hx
+        if a < b
+        and fixed not in (a, b)
+        and set(hx[a]) - {b} == set(hx[b]) - {a}
+    ]
+
+
+def _swap_closure(copies, swaps) -> set:
+    """Every image of the edge images ``copies`` under the ``swaps``."""
+    seen, todo = set(copies), list(copies)
+    while todo:
+        img = todo.pop()
+        for a, b in swaps:
+            moved = {a: b, b: a}
+            out = frozenset(frozenset(moved.get(x, x) for x in e) for e in img)
+            if out not in seen:
+                seen.add(out)
+                todo.append(out)
+    return seen
+
+
 class TestOneEmbeddingPerCopy:
     """The search yields one embedding per copy (automorphism class of
-    embeddings), checked against networkx monomorphisms and automorphisms."""
+    embeddings) up to swapping host twins, checked against networkx
+    monomorphisms and automorphisms."""
 
     PATTERNS = [
         complete(3),
@@ -254,7 +301,7 @@ class TestOneEmbeddingPerCopy:
         from networkx.algorithms.isomorphism import GraphMatcher
 
         rng = random.Random(53)
-        copies = 0
+        copies = twin_free = 0
         for _ in range(100):
             pat = rng.choice(self.PATTERNS)
             host = random_graph(
@@ -263,7 +310,8 @@ class TestOneEmbeddingPerCopy:
             autos = list(GraphMatcher(_to_nx(pat), _to_nx(pat)).isomorphisms_iter())
             orbit_min = {min(a[v] for a in autos) for v in range(pat.n)}
             assert _orbit_representatives(pat) == tuple(sorted(orbit_min))
-            matcher = GraphMatcher(_to_nx(host), _to_nx(pat))
+            hx = _to_nx(host)
+            matcher = GraphMatcher(hx, _to_nx(pat))
             monos = [
                 {v: u for u, v in m.items()}
                 for m in matcher.subgraph_monomorphisms_iter()
@@ -271,16 +319,73 @@ class TestOneEmbeddingPerCopy:
             want = {_edge_image(pat, m) for m in monos}
             got = [_edge_image(pat, m) for m in _iter_embeddings(host, pat)]
             assert len(got) == len(set(got))
-            assert set(got) == want
-            assert len(got) * len(autos) == len(monos)
+            swaps = _twin_swaps(hx)
+            assert set(got) <= want
+            assert _swap_closure(got, swaps) == want
+            if not swaps:
+                # no twins: exactly one embedding per copy
+                assert set(got) == want
+                assert len(got) * len(autos) == len(monos)
+                twin_free += 1
             copies += len(got)
             for v in range(host.n):
                 through = [_edge_image(pat, m) for m in _iter_embeddings(host, pat, v)]
+                want_v = {img for img in want if any(v in e for e in img)}
                 assert len(through) == len(set(through))
-                assert set(through) == {
-                    img for img in want if any(v in e for e in img)
-                }
+                assert set(through) <= want_v
+                assert _swap_closure(through, _twin_swaps(hx, v)) == want_v
         assert copies > 1000  # the sample is not mostly empty
+        assert twin_free >= 40  # and often twin-free
+
+    def test_witness_is_least_on_twin_rich_hosts(self):
+        pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        rng = random.Random(59)
+        small = [complete(3), cycle(4), cycle(5), wheel(5), path(4), complete(4)]
+        cases = [(_blow_up(rng), small) for _ in range(20)]
+        cases += [
+            (join([complete(s), SimpleGraph(t)]), small)
+            for s in (1, 2, 3)
+            for t in (2, 4, 6)
+        ]
+        wheels = [complete(3), cycle(4), wheel(5), wheel(7)]
+        cases += [(best_feasible_wheel_graph(n, 3), wheels) for n in range(6, 15)]
+        for host, patterns in cases:
+            hx = _to_nx(host)
+            for pat in patterns:
+                plan = _plan(pat, None)
+                monos = [
+                    {v: u for u, v in m.items()}
+                    for m in GraphMatcher(hx, _to_nx(pat)).subgraph_monomorphisms_iter()
+                ]
+                # the lex-least, in slot order, of the pair-respecting embeddings
+                least = min(
+                    (
+                        tuple(m[v] for v in plan.order)
+                        for m in monos
+                        if all(
+                            m[plan.order[j]] > m[v]
+                            for v, up in zip(plan.order, plan.above)
+                            for j in up
+                        )
+                    ),
+                    default=None,
+                )
+                emb = contains_subgraph(host, pat)
+                assert least == (
+                    None if emb is None else tuple(emb.mapping[v] for v in plan.order)
+                )
+                # vertex sets of the copies, and those disjoint from another
+                sets = {sum(1 << u for u in m.values()) for m in monos}
+                pairs = {a for a in sets if any(not a & b for b in sets)}
+                for v in range(host.n):
+                    assert contains_disjoint_family_through(host, [pat], v) == any(
+                        a >> v & 1 for a in sets
+                    )
+                    assert contains_disjoint_family_through(host, [pat, pat], v) == any(
+                        a >> v & 1 for a in pairs
+                    )
 
     def test_symmetric_pattern_in_itself(self):
         k30 = complete(30)
