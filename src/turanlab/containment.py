@@ -157,13 +157,10 @@ def _units(n: int) -> tuple[int, ...]:
 def _twins(host: SimpleGraph) -> list[int]:
     """The mask of each host vertex's twin class.
 
-    False twins share an open neighbourhood (the far side of a complete
-    bipartite graph), true twins a closed one (the vertices of a clique);
-    swapping two twins is an automorphism.  One dict holds both kinds of
-    row: N(x) = N[y] is impossible, since it puts y in N(x) but x outside
-    N[y].  A vertex with a false twin w and a true twin x cannot exist (x
-    would be adjacent to w but not in N[w] = N[x]), so the union of the two
-    masks is the class.
+    Open and closed rows share one dict: N(x) = N[y] would put y in N(x)
+    but x outside N[y].  No vertex has both a false twin w and a true twin
+    x (x would be adjacent to w but not in N[w] = N[x]), so the union of
+    its two masks is its class.
     """
     units = _units(host.n)
     cls: dict[int, int] = {}
@@ -207,7 +204,7 @@ def _search(
     of u's twins is tried there, ``twins()[u]`` being the mask of u's
     class: it yields one assignment per class up to swapping host twins,
     and the lex-least valid assignment that meets the pairs among them.
-    ``twins`` is called once, when a slot first moves on to another
+    ``twins`` is called at most once, when a slot first moves on to another
     candidate, so a search that succeeds on its first descent never builds
     the masks.  The yielded list is reused.
     """
@@ -387,11 +384,10 @@ def _iter_embeddings(
     units = _units(host.n)
     fit: dict[int, int] = {}
     for plan in _plans(pattern, through is not None):
-        doms = []
         for need in plan.need:
             if need not in fit:
                 fit[need] = sum(compress(units, map(need.__le__, degrees)))
-            doms.append(fit[need])
+        doms = [fit[need] for need in plan.need]
         if through is not None:
             doms[0] &= units[through]
         if not all(doms):
