@@ -201,8 +201,6 @@ def _cmd_gen(args) -> int:
     if args.spec is None:
         if args.n is None or args.k is None:
             raise ValueError("gen needs --n and --k, or --spec")
-        if args.k < 3:
-            raise ValueError(f"wheel construction needs k >= 3, got {args.k}")
         n = _bounded_order(args.n, "gen --n")
         ell = 1 if args.ell is None else args.ell
         recipe = wheel_construction_recipe(n, args.k, n0=args.n0, ell=ell)

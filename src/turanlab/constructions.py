@@ -97,15 +97,15 @@ def wheel_extremal_value(n: int, k: int) -> FormulaValue:
 
 def _component_orders(n0: int, k: int) -> list[int] | None:
     """Split n0 into component orders in [k, 2k-2], at most one odd when
-    the target degree k-1 is odd.  Returns None when impossible, as for
-    every k < 2, where [k, 2k-2] is empty.
+    the target degree k-1 is odd.  Returns None when impossible: for every
+    n0 < k, and for every k < 2, where [k, 2k-2] is empty.
 
     The fewest parts, t = ceil(n0 / (2k-2)), split evenly lie in [k, 2k-2]
     unless t > n0 // k, and then no t does.  A component of odd order cannot
     be (k-1)-regular; when k-1 is odd both bounds are even, so the odd parts
     share one value v with k < v < 2k-2, and each pair becomes v+1 and v-1.
     """
-    if k < 2:
+    if k < 2 or n0 < k:
         return None
     t = -(-n0 // (2 * k - 2))
     if t > n0 // k:
@@ -150,21 +150,11 @@ def _regular_component(c: int, d: int) -> SimpleGraph:
 
 
 def _layer_layout(n0: int, k: int) -> tuple[tuple[int, bool], ...]:
-    """(order, exactly_regular) per component of the layer on n0 vertices,
-    the single odd-order component (if any) last: its vertex 0 is the one
-    deficient vertex when the parity demands one.  Raises when n0 has no
-    split into component orders in [k, 2k-2]."""
-    if n0 < k:
-        raise InfeasibleConstructionError(
-            f"n0 = {n0} is below the least component order k = {k}"
-        )
-    sizes = _component_orders(n0, k)
-    if sizes is None:
-        raise InfeasibleConstructionError(
-            f"n0 = {n0} has no split into component orders in"
-            f" [{k}, {2 * k - 2}] compatible with degree {k - 1}"
-        )
-    layout = [(s, (k - 1) * s % 2 == 0) for s in sizes]
+    """(order, exactly_regular) per component of the layer on a feasible n0
+    (one that ``_component_orders`` splits), the single odd-order component
+    (if any) last: its vertex 0 is the one deficient vertex when the parity
+    demands one."""
+    layout = [(s, (k - 1) * s % 2 == 0) for s in _component_orders(n0, k)]
     return tuple(sorted(layout, key=lambda entry: not entry[1]))
 
 
@@ -184,6 +174,11 @@ def path_free_regular_graph(n0: int, k: int) -> SimpleGraph:
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k={k}")
+    if _component_orders(n0, k) is None:
+        raise InfeasibleConstructionError(
+            f"n0 = {n0} has no split into component orders in"
+            f" [{k}, {2 * k - 2}] compatible with degree {k - 1}"
+        )
     return _path_free_layer(n0, k)
 
 
@@ -232,7 +227,7 @@ class ConstructionRecipe:
         if self.ell < 1:
             raise InfeasibleConstructionError(f"need ell >= 1, got ell={self.ell}")
         n0, k, m = self.n0, self.k, self.n - self.ell + 1
-        if n0 < k or m - n0 < 2 or _component_orders(n0, k) is None:
+        if m - n0 < 2 or _component_orders(n0, k) is None:
             raise InfeasibleConstructionError(
                 f"n0 = {n0} infeasible at inner order {m} for k = {k}: needs"
                 f" n0 >= k, a far side of at least 2, and a split into"
@@ -299,10 +294,13 @@ def wheel_construction_recipe(
     (and leaves at least two vertices on the far side for its single edge)
     is chosen; if no maximizer is feasible this raises.
 
-    Accepts k = 2 (the layer degenerates to a perfect or near-perfect
-    matching); the closed-form guarantees attach only to k >= 3, which the
-    k-gated entry points enforce.  The recipe checks its own feasibility.
+    Raises ValueError for k < 3, where no closed form backs the
+    construction.  The recipe checks its own feasibility.
     """
+    if k < 3:
+        raise ValueError(
+            f"wheel construction needs k >= 3 (wheel order 2k+1 >= 7), got k={k}"
+        )
     if n0 is None:
         m = n - ell + 1
         n0 = _best_n0(m, k)
@@ -334,10 +332,6 @@ def wheel_extremal_graph(n: int, k: int, n0: int | None = None) -> SimpleGraph:
     with the default n0 (largest feasible maximizer) it equals
     wheel_extremal_value(n, k).value.
     """
-    if k < 3:
-        raise ValueError(
-            f"wheel construction needs k >= 3 (wheel order 2k+1 >= 7), got k={k}"
-        )
     recipe = wheel_construction_recipe(n, k, n0=n0)
     g = build_from_recipe(recipe)
     assert g.edge_count == _wheel_bracket(n, k, recipe.n0)

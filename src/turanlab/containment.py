@@ -9,16 +9,16 @@ F_1 ∪ ... ∪ F_h is exactly such a system, so every family search is one
 search for the family's cached union (``ForbiddenFamily.union``), its
 embedding sliced back into one mapping per member.
 
-Each pattern is compiled once per pinned vertex into a cached plan: the
-slot order (component by component, each in descending degree, then index),
-the forward neighbours of each slot, and lex-leader pairs from the pattern's
-stabilizer chain.  The embedding search keeps one candidate bitset per slot
-and forward-checks it: placing a vertex narrows its neighbours' domains to
-the host row, and an empty domain backtracks at once.  The pairs make it
-yield exactly one embedding per copy (automorphism class of embeddings)
-instead of |Aut(F)|.  Aut(F_1 ∪ ... ∪ F_h) swaps equal members, so the same
-pairs order their copies and a system is found once, not once per
-permutation of equal members.
+Each pattern is compiled once per pinned vertex into a plan, and ``_plans``
+caches the plans of each search: the slot order (component by component,
+each in descending degree, then index), the forward neighbours of each slot,
+and lex-leader pairs from the pattern's stabilizer chain.  The embedding
+search keeps one candidate bitset per slot and forward-checks it: placing a
+vertex narrows its neighbours' domains to the host row, and an empty domain
+backtracks at once.  The pairs make it yield exactly one embedding per copy
+(automorphism class of embeddings) instead of |Aut(F)|.
+Aut(F_1 ∪ ... ∪ F_h) swaps equal members, so the same pairs order their
+copies and a system is found once, not once per permutation of equal members.
 
 Host twins are branched on once.  Two host vertices are twins when they
 share an open neighbourhood (false twins: the far side of K_{n0,n-n0}) or a
@@ -144,7 +144,7 @@ def as_family(family) -> ForbiddenFamily:
     return ForbiddenFamily(family)
 
 
-PLAN_CACHE_SIZE = 256  # compiled plans kept; a miss only recompiles one
+PLAN_CACHE_SIZE = 256  # searches' plans kept; a miss only recompiles one
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -315,7 +315,6 @@ def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
     return sum(1 << x for x in range(p) if find(x) == rv)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(pattern: SimpleGraph, pin: int | None) -> _Plan:
     """The compiled plan: slot order, forward neighbours and lex-leader pairs.
 
@@ -339,26 +338,21 @@ def _plan(pattern: SimpleGraph, pin: int | None) -> _Plan:
     return _Plan(plain.order, plain.need, plain.fwd, tuple(above))
 
 
-def _orbit_representatives(pattern: SimpleGraph) -> tuple[int, ...]:
-    """The least vertex of each orbit of Aut(pattern).  Each orbit search
-    maps v's component first: in block order, an image of v that v's
-    component cannot map onto fails only after every automorphism of the
-    components before it is tried."""
-    reps, seen = [], 0
-    for v in range(pattern.n):
-        if not seen >> v & 1:
-            reps.append(v)
-            seen |= _orbit(pattern, _slots(pattern, v), 0, v)
-    return tuple(reps)
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plans(pattern: SimpleGraph, pinned: bool) -> tuple[_Plan, ...]:
     """Every plan one search needs, in one cache lookup: the unpinned plan,
-    or one plan pinned on each orbit representative of Aut(pattern)."""
+    or one plan pinned on the least vertex of each orbit of Aut(pattern).
+    Each orbit search maps v's component first: in block order, an image of
+    v that v's component cannot map onto fails only after every automorphism
+    of the components before it is tried."""
     if not pinned:
         return (_plan(pattern, None),)
-    return tuple(_plan(pattern, pin) for pin in _orbit_representatives(pattern))
+    plans, seen = [], 0
+    for v in range(pattern.n):
+        if not seen >> v & 1:
+            plans.append(_plan(pattern, v))
+            seen |= _orbit(pattern, _slots(pattern, v), 0, v)
+    return tuple(plans)
 
 
 def _iter_embeddings(

@@ -175,6 +175,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+        # the library's k >= 3 gate speaks for gen
+        assert main(["gen", "--n", "12", "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: wheel construction needs k >= 3 (wheel order 2k+1 >= 7),"
+            " got k=2\n"
+        )
 
     def test_budget_exhaustion_exits_three(self, tmp_path, capsys):
         out = tmp_path / "partial.json"

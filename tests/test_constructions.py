@@ -29,6 +29,7 @@ from turanlab import (
     wheel_extremal_graph,
     wheel_extremal_value,
 )
+from turanlab.constructions import _component_orders
 
 
 def union_wheels_reference(n: int, ks: list[int]) -> tuple[int, tuple]:
@@ -122,6 +123,11 @@ class TestLayerGraphs:
                 path_free_regular_graph(2 * k - 1, k)
             with pytest.raises(InfeasibleConstructionError):
                 path_free_regular_graph(k - 1, k)
+            with pytest.raises(InfeasibleConstructionError):
+                path_free_regular_graph(0, k)
+            # every n0 below the least component order, n0 = 0 included
+            for n0 in range(-1, k):
+                assert _component_orders(n0, k) is None
 
 
 class TestWheelConstruction:
@@ -158,8 +164,12 @@ class TestWheelConstruction:
             wheel_extremal_graph(9, 3)
 
     def test_small_k_rejected(self):
-        with pytest.raises(ValueError):
-            wheel_extremal_graph(12, 2)
+        # the wheel construction needs k >= 3; the k = 2 seeds still build
+        for build in (wheel_construction_recipe, wheel_extremal_graph):
+            with pytest.raises(ValueError, match="needs k >= 3"):
+                build(12, 2)
+        g = best_feasible_wheel_graph(12, 2)
+        assert g == build_from_recipe(ConstructionRecipe(12, 2, 1, 6))
 
     def test_best_feasible_fallback(self):
         # falls back to the best bracket value owning a buildable layer

@@ -28,8 +28,8 @@ from turanlab.containment import (
     Embedding,
     PLAN_CACHE_SIZE,
     _iter_embeddings,
-    _orbit_representatives,
     _plan,
+    _plans,
 )
 
 
@@ -307,7 +307,8 @@ class TestOneEmbeddingPerCopy:
             )
             autos = list(GraphMatcher(_to_nx(pat), _to_nx(pat)).isomorphisms_iter())
             orbit_min = {min(a[v] for a in autos) for v in range(pat.n)}
-            assert _orbit_representatives(pat) == tuple(sorted(orbit_min))
+            reps = tuple(plan.order[0] for plan in _plans(pat, True))
+            assert reps == tuple(sorted(orbit_min))
             hx = _to_nx(host)
             matcher = GraphMatcher(hx, _to_nx(pat))
             monos = [
@@ -353,7 +354,7 @@ class TestOneEmbeddingPerCopy:
         for host, patterns in cases:
             hx = _to_nx(host)
             for pat in patterns:
-                plan = _plan(pat, None)
+                (plan,) = _plans(pat, False)
                 monos = [
                     {v: u for u, v in m.items()}
                     for m in GraphMatcher(hx, _to_nx(pat)).subgraph_monomorphisms_iter()
@@ -390,10 +391,10 @@ class TestOneEmbeddingPerCopy:
         k30 = complete(30)
         emb = contains_subgraph(k30, k30)
         assert emb is not None and embedding_is_valid(k30, k30, emb)
-        assert _orbit_representatives(k30) == (0,)
+        assert [plan.order[0] for plan in _plans(k30, True)] == [0]
         # the chain from Stab(pin) orders the other 29 vertices: C(29, 2) pairs
         for pin in range(30):
             assert sum(map(len, _plan(k30, pin).above)) == 29 * 28 // 2
-        info = _plan.cache_info()
+        info = _plans.cache_info()
         assert info.maxsize == PLAN_CACHE_SIZE
         assert info.currsize <= PLAN_CACHE_SIZE

@@ -17,6 +17,7 @@ from turanlab import (
     read_graph6_lines,
     write_graph6_lines,
 )
+from turanlab.graph6 import _encode_int
 
 
 # reference tokens from the format's published examples
@@ -45,6 +46,15 @@ class TestEncode:
         # orders above 62 switch to the long length prefix
         g = path(80)
         assert decode_graph6(encode_graph6(g)) == g
+
+    def test_eight_byte_header(self):
+        # the format's example: orders above 258047 take '~~' and six groups
+        assert _encode_int(460175067).encode() == bytes(
+            [126, 126, 63, 90, 90, 90, 90, 90]
+        )
+        assert _encode_int(68719476735) == "~~" + "~" * 6
+        with pytest.raises(ValueError, match="too large"):
+            _encode_int(68719476736)
 
 
 class TestDecode:
