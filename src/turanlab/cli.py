@@ -232,22 +232,23 @@ def _cmd_ex_formula(args) -> int:
         notes = ["argmax n0: " + ", ".join(str(x) for x in fv.argmax)]
         doc.update(value=fv.value, argmax=list(fv.argmax))
     elif kind == "wheels":
-        uw = union_wheels_value(args.n, ints)
+        fv = union_wheels_value(args.n, ints)
+        per_index = sorted({i for i, _ in fv.argmax})
+        flagged = [k for k in ints if k < 3]
         notes = [
-            "argmax (i, n0): " + ", ".join(f"({i}, {n0})" for i, n0 in uw.argmax),
-            "per-index argmax l: "
-            + ", ".join(str(x) for x in uw.per_index.argmax),
+            "argmax (i, n0): " + ", ".join(f"({i}, {n0})" for i, n0 in fv.argmax),
+            "per-index argmax l: " + ", ".join(str(i) for i in per_index),
         ]
-        if uw.flagged_ks:
+        if flagged:
             notes.append(
                 "note: entries with k < 3 have no closed-form backing: "
-                + ", ".join(str(k) for k in uw.flagged_ks)
+                + ", ".join(str(k) for k in flagged)
             )
         doc.update(
-            value=uw.value,
-            argmax=[list(p) for p in uw.argmax],
-            per_index_argmax=list(uw.per_index.argmax),
-            flagged_ks=list(uw.flagged_ks),
+            value=fv.value,
+            argmax=[list(p) for p in fv.argmax],
+            per_index_argmax=per_index,
+            flagged_ks=flagged,
         )
     elif kind == "turan":
         notes = []

@@ -23,8 +23,8 @@ suitably ordered), the extremal edge count at order n is
 realized by joining a clique on l-1 vertices to a graph that is extremal for
 F_l alone.  ``union_extremal_value`` takes the inner ex values from a caller
 supplied provider, so the same evaluator runs against closed forms, known
-tables, or the brute-force oracle.  For families of odd wheels the inner
-values are wheel bracket maxima.
+tables, or the brute-force oracle.  ``union_wheels_value`` runs through the
+same evaluator, with wheel bracket maxima as the inner values.
 
 All evaluators are exact integer arithmetic and are total; a recipe
 validates itself and raises instead of silently describing a wrong
@@ -362,9 +362,18 @@ ExProvider = Callable[[int, int], int]
 """Provider signature: (order m, one-based family index l) -> ex(m, F_l)."""
 
 
-def _layered_term(ell: int, m: int, inner: int) -> int:
-    """Edges of K_{ell-1} joined to a graph on m vertices and inner edges."""
-    return (ell - 1) * (ell - 2) // 2 + (ell - 1) * m + inner
+def _layered_max(n: int, h: int, inner: ExProvider) -> FormulaValue:
+    """Max over l = 1..h of C(l-1,2) + (l-1)(n-l+1) + inner(n-l+1, l): the
+    edges of K_{l-1} joined to a graph on m = n-l+1 vertices with inner(m, l)
+    edges.  Layer counts with m < 1 are skipped."""
+    terms: dict[int, int] = {}
+    for ell in range(1, min(h, n) + 1):
+        m = n - ell + 1
+        terms[ell] = (ell - 1) * (ell - 2) // 2 + (ell - 1) * m + inner(m, ell)
+    if not terms:
+        raise ValueError(f"no valid layer count l at n={n} for h={h}")
+    best = max(terms.values())
+    return FormulaValue(best, tuple(l for l, v in terms.items() if v == best))
 
 
 def union_extremal_value(
@@ -375,18 +384,7 @@ def union_extremal_value(
     The inner extremal numbers come from ``ex_provider``; provider failures
     propagate unchanged.
     """
-    fam = as_family(family)
-    h = len(fam)
-    terms: dict[int, int] = {}
-    for ell in range(1, h + 1):
-        m = n - ell + 1
-        if m < 1:
-            continue
-        terms[ell] = _layered_term(ell, m, ex_provider(m, ell))
-    if not terms:
-        raise ValueError(f"no valid layer count l at n={n} for h={h}")
-    best = max(terms.values())
-    return FormulaValue(best, tuple(l for l, v in sorted(terms.items()) if v == best))
+    return _layered_max(n, len(as_family(family)), ex_provider)
 
 
 def union_extremal_graph(n: int, ell: int, h: SimpleGraph) -> SimpleGraph:
@@ -405,30 +403,16 @@ def union_extremal_graph(n: int, ell: int, h: SimpleGraph) -> SimpleGraph:
     return join([complete(ell - 1), h])
 
 
-@dataclass(frozen=True)
-class UnionWheelsValue:
-    """The odd-wheel union formula with its maximizers.
-
-    ``argmax`` lists every maximizing (i, n0) of the double maximum;
-    ``per_index`` is the same maximum read per layer index i.
-    ``flagged_ks`` lists entries k < 3, where the wheel bracket is evaluated
-    arithmetically but is not backed by the closed form.
-    """
-
-    value: int
-    argmax: tuple[tuple[int, int], ...]
-    per_index: FormulaValue
-    flagged_ks: tuple[int, ...]
-
-
-def union_wheels_value(n: int, ks: Sequence[int]) -> UnionWheelsValue:
+def union_wheels_value(n: int, ks: Sequence[int]) -> FormulaValue:
     """Evaluate the union formula for odd wheels W_{2k_i+1}, k_1 >= ... >= k_m.
 
     The double maximum over i and n0 >= i of
       n0*(n-n0) + (i-1)*(n0-i+1) + C(i-1,2) + floor((k_i-1)*(n0-i+1)/2) + 1
     equals, term by term with n0' = n0-i+1, the maximum over i of
       C(i-1,2) + (i-1)*(n-i+1) + wheel bracket at order n-i+1 and n0',
-    which is what is evaluated here; argmax pairs are reported as (i, n0).
+    which ``_layered_max`` evaluates; argmax lists every maximizing (i, n0).
+    Entries k = 2 are evaluated arithmetically but have no closed-form
+    backing.
     """
     ks = list(ks)
     if not ks:
@@ -440,20 +424,16 @@ def union_wheels_value(n: int, ks: Sequence[int]) -> UnionWheelsValue:
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
 
-    terms: dict[int, FormulaValue] = {}
-    for i, k in enumerate(ks, start=1):
-        m = n - i + 1
-        if m < 1:
-            break
-        scan = _wheel_bracket_scan(m, k)
-        terms[i] = FormulaValue(_layered_term(i, m, scan.value), scan.argmax)
-    best = max(t.value for t in terms.values())
-    top = [i for i, t in terms.items() if t.value == best]
-    return UnionWheelsValue(
-        value=best,
-        argmax=tuple((i, n0 + i - 1) for i in top for n0 in terms[i].argmax),
-        per_index=FormulaValue(best, tuple(top)),
-        flagged_ks=tuple(k for k in ks if k < 3),
+    scans: dict[int, FormulaValue] = {}
+
+    def inner(m: int, i: int) -> int:
+        scans[i] = _wheel_bracket_scan(m, ks[i - 1])
+        return scans[i].value
+
+    best = _layered_max(n, len(ks), inner)
+    return FormulaValue(
+        best.value,
+        tuple((i, n0 + i - 1) for i in best.argmax for n0 in scans[i].argmax),
     )
 
 

@@ -48,7 +48,6 @@ component that v's cannot map onto fails there, before any other is searched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import compress
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -57,24 +56,16 @@ from .coloring import chromatic_number
 from .graphs import SimpleGraph, bits, disjoint_union
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """An injective pattern -> host map; mapping[i] is the image of vertex i."""
-
-    mapping: tuple[int, ...]
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
-
-def embedding_is_valid(host: SimpleGraph, pattern: SimpleGraph, emb: Embedding) -> bool:
-    """Check injectivity and that every pattern edge maps onto a host edge."""
-    m = emb.mapping
-    if len(m) != pattern.n or len(set(m)) != pattern.n:
+def embedding_is_valid(
+    host: SimpleGraph, pattern: SimpleGraph, mapping: Sequence[int]
+) -> bool:
+    """Check that ``mapping`` (mapping[i] the image of pattern vertex i) is
+    injective and maps every pattern edge onto a host edge."""
+    if len(mapping) != pattern.n or len(set(mapping)) != pattern.n:
         return False
-    if any(not 0 <= v < host.n for v in m):
+    if any(not 0 <= v < host.n for v in mapping):
         return False
-    return all(host.has_edge(m[u], m[v]) for u, v in pattern.edges())
+    return all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges())
 
 
 class ForbiddenFamily:
@@ -394,8 +385,9 @@ def _iter_embeddings(
             yield tuple(result)
 
 
-def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | None:
-    """An embedding of ``pattern`` in ``host`` (subgraph semantics), or None.
+def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> tuple[int, ...] | None:
+    """An embedding of ``pattern`` in ``host`` (subgraph semantics), or None;
+    entry i of the tuple is the image of pattern vertex i.
 
     The witness is the first the forward-checking search finds: the
     lex-least, in the slot order of ``_plan(pattern, None)``, of the
@@ -403,11 +395,11 @@ def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> Embedding | No
     skips.
     """
     for mapping in _iter_embeddings(host, pattern):
-        return Embedding(mapping)
+        return mapping
     return None
 
 
-def contains_disjoint_family(host: SimpleGraph, family) -> list[Embedding] | None:
+def contains_disjoint_family(host: SimpleGraph, family) -> list[tuple[int, ...]] | None:
     """Pairwise disjoint embeddings of every family member, or None.
 
     The witness is the first embedding of the family's union, sliced back
@@ -416,8 +408,7 @@ def contains_disjoint_family(host: SimpleGraph, family) -> list[Embedding] | Non
     fam = as_family(family)
     for mapping in _iter_embeddings(host, fam.union):
         return [
-            Embedding(mapping[start:start + p.n])
-            for start, p in zip(fam.offsets, fam.patterns)
+            mapping[start:start + p.n] for start, p in zip(fam.offsets, fam.patterns)
         ]
     return None
 

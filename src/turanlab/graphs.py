@@ -146,10 +146,6 @@ class SimpleGraph:
 # === standard builders ===
 
 
-def empty_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n)
-
-
 def complete(n: int) -> SimpleGraph:
     full = (1 << n) - 1
     return SimpleGraph._from_rows(n, (full ^ (1 << v) for v in range(n)))
@@ -204,7 +200,7 @@ def turan(n: int, r: int) -> SimpleGraph:
     if n < 0:
         raise ValueError(f"turan needs n >= 0, got n={n}")
     if n == 0:
-        return empty_graph(0)
+        return SimpleGraph(0)
     parts = min(r, n)  # parts beyond n would be empty
     q, rem = divmod(n, parts)
     return complete_multipartite([q + 1] * rem + [q] * (parts - rem))

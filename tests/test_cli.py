@@ -1,5 +1,6 @@
 """End-to-end command tests driven through the argument-list entry point."""
 
+import io
 import json
 import os
 import subprocess
@@ -113,6 +114,8 @@ class TestExitCodes:
     def test_unknown_pattern_is_usage_error(self, capsys):
         assert main(["brute-force", "--family", "q9", "--n", "4"]) == 2
         assert "error:" in capsys.readouterr().err
+        assert main(["brute-force", "--family", ",", "--n", "4"]) == 2
+        assert capsys.readouterr().err == "error: empty family spec\n"
 
     def test_removed_options_are_usage_errors(self, capsys):
         # the order guard is the oracle's HARD_CAP; no subcommand takes --seed
@@ -239,6 +242,11 @@ class TestExFormula:
         out = capsys.readouterr().out
         assert "value 162" in out
         assert "(2, 13)" in out
+        assert main(["ex-formula", "--formula", "wheels:3,2,2", "--n", "30"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "per-index argmax l: 3",
+            "note: entries with k < 3 have no closed-form backing: 2, 2",
+        ]
 
     def test_exactly_one_formula_required(self, capsys):
         assert main(["ex-formula", "--n", "20"]) == 2
@@ -260,6 +268,8 @@ class TestExFormula:
             ("zeta:3", "unrecognized formula"),
             ("wheel:", "wheel formula needs one integer argument, got 'wheel:'"),
             ("turan:x", "turan formula needs one integer argument, got 'turan:x'"),
+            ("wheels:3,x",
+             "wheels formula ks must be a comma-separated integer list, got '3,x'"),
         ],
     )
     def test_specs_ex_formula_cannot_evaluate(self, spec, message, capsys):
@@ -329,6 +339,11 @@ class TestGen:
         assert main(["gen", "--spec", "turan:9,3"]) == 0
         g = decode_graph6(capsys.readouterr().out.strip())
         assert g == turan(9, 3)
+        assert main(["gen", "--spec", "c5"]) == 0
+        assert capsys.readouterr().out == "Dhc\n"
+        assert main(["gen", "--spec", "turan:6"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: turan spec needs n,r, got 'turan:6'\n"
         # the wheel construction's options are errors next to --spec
         for extra in (["--n", "20"], ["--k", "3"], ["--n0", "8"], ["--ell", "3"],
                       ["--json", str(tmp_path / "r.json")]):
@@ -374,6 +389,10 @@ class TestScan:
         assert main(["ex-formula", "--formula", "wheels:", "--n", "9"]) == 2
         err = capsys.readouterr().err
         assert err == "error: wheels formula needs at least one k, got 'wheels:'\n"
+        argv = ["scan", "--family", "k3", "--formula", "turan:2", "--n-from", "7",
+                "--n-to", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --n-to 5 is below --n-from 7\n"
 
     def test_budget_rows_exit_three(self, capsys):
         code = main(
@@ -441,7 +460,7 @@ class TestVerify:
         assert "maximal no" in out[1]
         assert "structure pass (q=1, ell=2)" in out[2]
 
-    def test_json_report(self, tmp_path):
+    def test_json_report(self, tmp_path, monkeypatch):
         graphs = tmp_path / "graphs.g6"
         graphs.write_text(encode_graph6(turan(6, 2)) + "\n")
         out = tmp_path / "verify.json"
@@ -451,6 +470,11 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["schema"] == "verify-report/1"
         assert doc["graphs"][0]["free"] is True
+        # --in - reads the same graphs from stdin
+        from_stdin = tmp_path / "stdin.json"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(graphs.read_text()))
+        main(["verify", "--in", "-", "--family", "k3", "--json", str(from_stdin)])
+        assert from_stdin.read_bytes() == out.read_bytes()
 
     def test_input_file_is_closed(self, tmp_path):
         graphs = tmp_path / "graphs.g6"
@@ -460,8 +484,13 @@ class TestVerify:
             assert len(_read_graph_input(str(graphs))) == 1
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_missing_file_is_usage_error(self, capsys):
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["verify", "--in", "/nonexistent.g6", "--family", "k3"]) == 2
+        capsys.readouterr()
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        assert main(["verify", "--in", str(empty), "--family", "k3"]) == 2
+        assert capsys.readouterr().err == f"error: no graphs found in {str(empty)!r}\n"
 
     def test_inner_oracle_runs_once_per_order(self, tmp_path, monkeypatch, capsys):
         # three of the four witnesses of ex(6, C4) have no universal vertex,

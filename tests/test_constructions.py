@@ -8,7 +8,9 @@ import pytest
 from turanlab import (
     ConstructionRecipe,
     ForbiddenFamily,
+    FormulaValue,
     InfeasibleConstructionError,
+    SimpleGraph,
     best_feasible_wheel_graph,
     brute_force_ex,
     build_from_recipe,
@@ -48,13 +50,8 @@ def union_wheels_reference(n: int, ks: list[int]) -> tuple[int, tuple]:
 
 
 def matches_reference(n: int, ks: list[int]) -> bool:
-    uw = union_wheels_value(n, ks)
-    value, argmax = union_wheels_reference(n, ks)
-    return (
-        (uw.value, uw.argmax) == (value, argmax)
-        and uw.per_index.value == value
-        and uw.per_index.argmax == tuple(sorted({i for i, _ in argmax}))
-    )
+    fv = union_wheels_value(n, ks)
+    return (fv.value, fv.argmax) == union_wheels_reference(n, ks)
 
 
 class TestWheelFormula:
@@ -70,6 +67,8 @@ class TestWheelFormula:
     def test_gate(self):
         with pytest.raises(ValueError):
             wheel_extremal_value(10, 2)
+        with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+            wheel_extremal_value(0, 3)
 
     def test_value_dominates_every_bracket_choice(self):
         for n in range(1, 40):
@@ -109,6 +108,9 @@ class TestLayerGraphs:
                 assert g.edge_count == ((k - 1) * n0) // 2
                 assert is_path_free_regular(g, k)
                 assert contains_subgraph(g, path(2 * k - 1)) is None
+        # no vertices, and degrees 1, 1, 2, 2, 2: neither regular nor nearly
+        assert not is_path_free_regular(SimpleGraph(0), 3)
+        assert not is_path_free_regular(path(5), 3)
 
     def test_degree_profile(self):
         # even total degree: (k-1)-regular; odd: one vertex one lower
@@ -202,6 +204,8 @@ class TestRecipes:
         ):
             with pytest.raises(ValueError, match="component_layout"):
                 ConstructionRecipe.from_json_dict({**doc, "component_layout": layout})
+        with pytest.raises(ValueError, match="unknown recipe schema"):
+            ConstructionRecipe.from_json_dict({**doc, "schema": "recipe/2"})
 
     def test_every_recipe_builds_and_reads_back(self):
         # a recipe validates itself: either construction raises at once, or
@@ -312,16 +316,13 @@ class TestUnionFormula:
     def test_union_graph_order_mismatch(self):
         with pytest.raises(ValueError):
             union_extremal_graph(9, 2, turan(9, 2))
+        with pytest.raises(ValueError, match="need ell >= 1, got 0"):
+            union_extremal_graph(9, 0, turan(10, 2))
 
 
 class TestUnionWheels:
     def test_reference_value(self):
-        uw = union_wheels_value(24, [3, 2])
-        assert uw.value == 162
-        assert uw.argmax == ((2, 13),)
-        assert uw.per_index.value == 162
-        assert uw.per_index.argmax == (2,)
-        assert uw.flagged_ks == (2,)
+        assert union_wheels_value(24, [3, 2]) == FormulaValue(162, ((2, 13),))
 
     def test_forms_agree_on_a_sweep(self):
         for n in range(1, 60):

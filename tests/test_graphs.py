@@ -11,7 +11,6 @@ from turanlab import (
     complete_multipartite,
     cycle,
     disjoint_union,
-    empty_graph,
     join,
     path,
     turan,
@@ -166,5 +165,5 @@ class TestCombinators:
             assert j.edge_count == g.edge_count + h.edge_count + g.n * h.n
 
     def test_join_of_empties_is_multipartite(self):
-        j = join([empty_graph(2), empty_graph(3), empty_graph(2)])
+        j = join([SimpleGraph(2), SimpleGraph(3), SimpleGraph(2)])
         assert j == complete_multipartite([2, 3, 2])

@@ -227,6 +227,8 @@ class TestResultSerialization:
         assert back.to_json() == text
         assert back.ex_value == r.ex_value
         assert back.witnesses == r.witnesses
+        with pytest.raises(ValueError, match="unknown result schema"):
+            ExtremalResult.from_json_dict({**r.to_json_dict(), "schema": "other/1"})
 
     def test_witnesses_encode_as_graph6(self):
         r = brute_force_ex(4, [complete(3)])

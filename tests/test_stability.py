@@ -57,6 +57,11 @@ class TestMinInternalPartition:
             diag = min_internal_partition(g, 3)
             seen = sorted(v for part in diag.parts for v in part)
             assert seen == list(range(g.n))
+        with pytest.raises(ValueError, match="need r >= 2, got r=1"):
+            min_internal_partition(cycle(5), 1)
+        for theta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="theta must lie in"):
+                min_internal_partition(cycle(5), 2, theta=theta)
 
     def test_local_search_matches_exact_on_small_graphs(self):
         rng = random.Random(43)
@@ -113,6 +118,16 @@ class TestWSet:
             w_set(g, (tuple(range(3)),), 0.0)
         with pytest.raises(ValueError):
             w_set(g, (tuple(range(3)),), 1.0)
+        # the parts are validated too, as they are by is_vertex_move_optimal
+        for parts, message in (
+            (((0, 1), (2, 3)), "vertex 3 out of range for n=3"),
+            (((0, 1), (1, 2)), "parts overlap"),
+            (((0,), (2,)), "parts do not cover the vertex set"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                w_set(g, parts, 0.5)
+            with pytest.raises(ValueError, match=message):
+                is_vertex_move_optimal(g, parts)
 
 
 class TestMinDegreeAudit:
@@ -121,6 +136,13 @@ class TestMinDegreeAudit:
 
     def test_sparse_graph_fails(self):
         assert not min_degree_audit(cycle(12), 3, 0.1)
+        for args, message in (
+            ((SimpleGraph(0), 3, 0.1), "at least one vertex"),
+            ((cycle(12), 0, 0.1), "need r >= 1, got r=0"),
+            ((cycle(12), 3, 1.5), "theta must lie in"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                min_degree_audit(*args)
 
 
 class TestDominatingClique:
