@@ -31,6 +31,11 @@ graph isomorphism, Congr. Numer. 30, 1981; McKay and Piperno, Practical
 graph isomorphism II, J. Symb. Comput. 60, 2014).  Every pruned leaf is the
 image of an earlier leaf with the same encoding, so the certificate and the
 first leaf that reaches it do not depend on the pruning.
+
+``automorphisms`` returns the automorphisms the search found.  Each is an
+automorphism of G, and that is all a caller may rely on: nothing here
+proves that they generate Aut(G), though on every graph of at most six
+vertices their mask orbits are those of Aut(G) (a test checks this).
 """
 
 from __future__ import annotations
@@ -91,8 +96,11 @@ def _leaf_bytes(n: int, adj: tuple[int, ...], order: list[int]) -> bytes:
     return bytes(out)
 
 
-def _canonical_order(g: SimpleGraph) -> tuple[bytes, list[int]]:
-    """The certificate and the vertex order whose upper triangle it packs."""
+def _canonical_order(
+    g: SimpleGraph,
+) -> tuple[bytes, list[int], list[tuple[tuple[int, ...], int]]]:
+    """The certificate, the vertex order whose upper triangle it packs, and
+    the automorphisms found on the way, each with its moved-point mask."""
     n = g.n
     adj = g.adj
     by_degree: dict[int, list[int]] = {}
@@ -166,7 +174,7 @@ def _canonical_order(g: SimpleGraph) -> tuple[bytes, list[int]]:
         search(root, ())
     finally:
         del search  # the closure refers to itself: break the cycle
-    return best[0], best[1]
+    return best[0], best[1], gens
 
 
 def certificate(g: SimpleGraph) -> bytes:
@@ -181,11 +189,16 @@ def canonical_form(g: SimpleGraph) -> tuple[bytes, SimpleGraph]:
     upper triangle is the certificate: isomorphic inputs give equal graphs,
     not just equal bytes.
     """
-    cert, order = _canonical_order(g)
+    cert, order, _ = _canonical_order(g)
     perm = [0] * g.n
     for p, v in enumerate(order):
         perm[v] = p
     return cert, g.relabel(perm)
+
+
+def automorphisms(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """Automorphisms of ``g`` found by the canonical search, as vertex maps."""
+    return [gamma for gamma, _ in _canonical_order(g)[2]]
 
 
 def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:

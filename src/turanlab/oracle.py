@@ -16,7 +16,12 @@ edges (Katona, Nemetz and Simonovits, 1964); and every G_s is free when G
 is.  So by induction level s holds a representative of the class of every
 G_s, and the top level holds every extremal class.  Freeness of a child is
 decided by a search restricted to embeddings through the new vertex, which
-is exact because the parent is already known to be free.
+is exact because the parent is already known to be free.  A neighbourhood
+mask of the new vertex that an automorphism of the parent maps to a smaller
+mask is skipped before its child is built: that child is a copy of an
+earlier one, and the first child of every class is never skipped, so every
+level, count and witness is the same as without the skip (the argument is
+at ``_next_level``).
 
 ``labeled_filter_ex`` is a deliberately different second oracle for n <= 7:
 it holds all 2^C(n,2) labeled graphs as the bits of one Python int, indexed
@@ -40,7 +45,7 @@ from itertools import permutations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .canonical import canonical_form, certificate
+from .canonical import automorphisms, canonical_form, certificate
 from .containment import (
     ForbiddenFamily,
     as_family,
@@ -48,7 +53,7 @@ from .containment import (
     is_free,
 )
 from .graph6 import decode_graph6, encode_graph6, json_doc
-from .graphs import SimpleGraph, complete, disjoint_union, turan
+from .graphs import SimpleGraph, bits, complete, disjoint_union, turan
 
 # the largest order brute_force_ex accepts without allow_large=True
 HARD_CAP = 10
@@ -61,8 +66,8 @@ class SearchBudget:
     Both caps are checked once per admitted isomorphism class, so whatever
     runs before the first check or between two checks runs unchecked: the
     validation of the seeds, the internal Turán seed's freeness check among
-    them, and the mask scan of each parent.  At large n those alone can far
-    outlast ``max_seconds``.
+    them, and the mask scan of each parent with the search for its
+    automorphisms.  At large n those alone can far outlast ``max_seconds``.
     """
 
     max_candidates: int | None = None
@@ -156,6 +161,24 @@ def _next_level(
     has minimum degree in it, it has at least ``bound`` edges and it is
     free.  The degree test reads the parent's degrees and the mask only,
     so a rejected child is never built.
+
+    From a parent's second admissible mask on, a mask that one of the
+    parent's automorphisms (``automorphisms``) maps to a smaller mask is
+    skipped before its child is built; the first is the least admissible
+    mask, so no search is needed for it.  The yield is the same as without
+    the skip: the edge bound, the degree rule, freeness and the class of
+    the child are all invariant under Aut(parent), so the image mask is
+    admissible and its child is free exactly when this one is, and
+    isomorphic to it.  Nothing maps the least mask of an orbit lower, so it
+    is never skipped, and masks are scanned in ascending order, so it comes
+    first.  Each parent thus yields the same first labeled child of each
+    class as a scan without the skip, ``seen`` keeps the same
+    representatives, and every level, count and budget partial is the
+    same.  The permutations need only be automorphisms, not generate
+    Aut(parent): a mask that none of them maps lower is still certified,
+    and ``seen`` drops it when its class is known.  This is condition (a)
+    of McKay's canonical augmentation (Isomorph-free exhaustive
+    generation, J. Algorithms 26, 1998).
     """
     seen: set[bytes] = set()
     for parent in level:
@@ -166,10 +189,21 @@ def _next_level(
         # k == low + 1 and it is adjacent to every vertex of degree low
         low_mask = sum(1 << u for u, d in enumerate(deg) if d == low)
         need = bound - parent.edge_count
+        first = True
+        auts = None  # searched at the second admissible mask
         for nb in range(1 << m):
             k = nb.bit_count()
             if k < need or k > low + 1 or (k > low and low_mask & ~nb):
                 continue
+            if first:
+                first = False
+            else:
+                if auts is None:
+                    auts = automorphisms(parent)
+                if any(
+                    sum(1 << gamma[x] for x in bits(nb)) < nb for gamma in auts
+                ):
+                    continue
             child = _augment(parent, nb)
             if contains_disjoint_family_through(child, fam, m):
                 continue

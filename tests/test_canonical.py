@@ -20,7 +20,7 @@ from turanlab import (
     turan,
     wheel,
 )
-from turanlab.canonical import _canonical_order, _refine
+from turanlab.canonical import _canonical_order, _refine, automorphisms
 
 
 def atlas_graphs() -> list[SimpleGraph]:
@@ -223,3 +223,54 @@ class TestAtlas:
                     assert _refine(g.adj, child, [1 << v, mask(rest)]) == every
                     assert _refine(g.adj, child, [mask(rest)]) == every
                     assert is_equitable(g, every)
+
+
+def mask_orbit_count(n: int, perms) -> int:
+    """Orbits of the 2^n vertex masks under the group the perms generate."""
+    parent = list(range(1 << n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for gamma in perms:
+        for nb in range(1 << n):
+            image = sum(1 << gamma[x] for x in range(n) if nb >> x & 1)
+            parent[find(nb)] = find(image)
+    return sum(1 for x in range(1 << n) if find(x) == x)
+
+
+class TestAutomorphisms:
+    def test_permutations_preserve_edges(self):
+        rng = random.Random(43)
+        graphs = atlas_graphs()
+        graphs += [random_graph(rng, rng.randint(1, 11), 0.3) for _ in range(200)]
+        graphs += [cycle(9), wheel(7), complete_multipartite([3, 3, 2])]
+        for g in graphs:
+            edges = {frozenset(e) for e in g.edges()}
+            for gamma in automorphisms(g):
+                assert sorted(gamma) == list(range(g.n))
+                assert {frozenset((gamma[u], gamma[v])) for u, v in edges} == edges
+
+    def test_mask_orbits_match_full_group(self):
+        # every mask orbit under Aut(G) is one orbit of the group the found
+        # automorphisms generate; Aut(G) comes from networkx, which shares
+        # no code with the canonical search
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        for h in nx.graph_atlas_g()[:209]:  # n <= 6
+            n = h.number_of_nodes()
+            g = SimpleGraph(n, h.edges())
+            full = [
+                [iso[x] for x in range(n)]
+                for iso in GraphMatcher(h, h).isomorphisms_iter()
+            ]
+            orbits = {
+                min(sum(1 << gamma[x] for x in range(n) if nb >> x & 1)
+                    for gamma in full)
+                for nb in range(1 << n)
+            }
+            assert mask_orbit_count(n, automorphisms(g)) == len(orbits)

@@ -3,11 +3,14 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import random_graph
 
 import turanlab
 from turanlab import (
@@ -40,8 +43,13 @@ from turanlab import (
     wheel_extremal_graph,
     wheel_extremal_value,
 )
+from turanlab.cli import parse_family
 from turanlab.containment import as_family
+from turanlab.graph6 import json_doc
 from turanlab.oracle import _next_level
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def grow(fam, n: int) -> list[list[bytes]]:
@@ -151,6 +159,17 @@ class TestBruteForce:
         partial = info.value.partial
         assert not partial.exhaustive
         assert partial.n == 7
+        assert partial.candidates == 6
+        assert partial.ex_value == 12
+
+    @pytest.mark.parametrize("cap", [5, 50, 300])
+    def test_budget_partial_bytes_pinned(self, cap):
+        # recorded before the level step skipped masks by the parent's
+        # automorphisms: the skip must not move a partial byte
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force_ex(9, [cycle(4)], budget=SearchBudget(max_candidates=cap))
+        golden = GOLDEN / f"budget_c4_n9_cap{cap}.json"
+        assert info.value.partial.to_json() == golden.read_text()
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -217,6 +236,95 @@ class TestMinDegreeLevels:
                 n, fam, lambda m, ell: turan_edge_count(m, 2)
             )
             assert r.ex_value == value == formula.value
+
+
+SWEEP_FAMILIES = [
+    "k3", "c4", "c5", "k3,k3", "w5", "w7", "k4", "c4,c4", "k3,c5", "k2,k2",
+    "c5,c5", "w5,k3",
+]
+
+
+def oracle_sweep() -> str:
+    """ex, candidates and witnesses of brute_force_ex over SWEEP_FAMILIES at
+    n = 0..8, with the error text where there is one; writing this string
+    to golden/oracle_sweep.json regenerates that file."""
+    rows = []
+    for spec in SWEEP_FAMILIES:
+        fam = parse_family(spec)
+        for n in range(9):
+            row = {"family": spec, "n": n}
+            try:
+                r = brute_force_ex(n, fam)
+            except ValueError as e:
+                row["error"] = str(e)
+            else:
+                row["ex_value"] = r.ex_value
+                row["candidates"] = r.candidates
+                row["witnesses"] = [encode_graph6(w) for w in r.witnesses]
+            rows.append(row)
+    return json_doc({"rows": rows})
+
+
+def test_oracle_sweep_golden():
+    # recorded before the level step skipped masks by the parent's
+    # automorphisms
+    assert oracle_sweep() == (GOLDEN / "oracle_sweep.json").read_text()
+
+
+class TestOrbitSkip:
+    """The level step skips a mask that an automorphism of the parent maps
+    to a smaller mask.  These gates share no code with ``canonical``."""
+
+    def test_skipped_children_are_copies_of_kept_ones(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        import turanlab.oracle as oracle
+
+        built: list[int] = []
+        augment = oracle._augment
+
+        def recording(parent, nb):
+            built.append(nb)
+            return augment(parent, nb)
+
+        monkeypatch.setattr(oracle, "_augment", recording)
+
+        def child(h, nb):
+            c = h.copy()
+            m = h.number_of_nodes()
+            c.add_node(m)
+            c.add_edges_from((x, m) for x in range(m) if nb >> x & 1)
+            return c
+
+        rng = random.Random(53)
+        fam = as_family([complete(5)])
+        skipped = 0
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
+            if not is_free(g, fam):
+                continue
+            built.clear()
+            list(_next_level([g], fam, 0))
+            deg = g.degrees()
+            low = min(deg)
+            low_mask = sum(1 << u for u, d in enumerate(deg) if d == low)
+            admissible = [
+                nb for nb in range(1 << g.n)
+                if nb.bit_count() <= low
+                or (nb.bit_count() == low + 1 and not low_mask & ~nb)
+            ]
+            assert set(built) <= set(admissible)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            for nb in admissible:
+                if nb in built:
+                    continue
+                skipped += 1
+                assert any(
+                    nx.is_isomorphic(child(h, nb), child(h, kept))
+                    for kept in built if kept < nb
+                )
+        assert skipped > 200
 
 
 class TestResultSerialization:
