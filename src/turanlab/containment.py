@@ -306,43 +306,39 @@ def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
     return sum(1 << x for x in range(p) if find(x) == rv)
 
 
-def _plan(pattern: SimpleGraph, pin: int | None) -> _Plan:
-    """The compiled plan: slot order, forward neighbours and lex-leader pairs.
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plans(pattern: SimpleGraph, pinned: bool) -> tuple[_Plan, ...]:
+    """Every plan one search needs, in one cache lookup: the unpinned plan,
+    or one plan pinned on the least vertex of each orbit of Aut(pattern).
 
+    A plan is the slot order, the forward neighbours and lex-leader pairs.
     The pairs follow the pattern's stabilizer chain along the slot order
     (Grochow and Kellis, RECOMB 2007): slot i's image lies below the images
     of the other vertices in its orbit under the automorphisms fixing slots
     0..i-1.  Exactly one embedding of each automorphism class meets them
     all.  With a pin the chain starts at Stab(pin), so each copy through the
-    pinned host vertex with the pin on it is found once.
+    pinned host vertex with the pin on it is found once, and the pin's own
+    orbit marks the vertices that need no plan of their own.  Each orbit
+    search maps v's component first: in block order, an image of v that v's
+    component cannot map onto fails only after every automorphism of the
+    components before it is tried.
     """
-    plain = _slots(pattern, pin)
-    above = []
-    fixed = 0
-    for i, v in enumerate(plain.order):
-        if i or pin is None:
-            orbit = _orbit(pattern, plain, fixed, v) & ~(1 << v)
-            above.append(tuple(sorted(plain.order.index(w) for w in bits(orbit))))
-        else:
-            above.append(())
-        fixed |= 1 << v
-    return _Plan(plain.order, plain.need, plain.fwd, tuple(above))
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plans(pattern: SimpleGraph, pinned: bool) -> tuple[_Plan, ...]:
-    """Every plan one search needs, in one cache lookup: the unpinned plan,
-    or one plan pinned on the least vertex of each orbit of Aut(pattern).
-    Each orbit search maps v's component first: in block order, an image of
-    v that v's component cannot map onto fails only after every automorphism
-    of the components before it is tried."""
-    if not pinned:
-        return (_plan(pattern, None),)
-    plans, seen = [], 0
-    for v in range(pattern.n):
-        if not seen >> v & 1:
-            plans.append(_plan(pattern, v))
-            seen |= _orbit(pattern, _slots(pattern, v), 0, v)
+    plans, covered = [], 0
+    for pin in range(pattern.n) if pinned else (None,):
+        if pin is not None and covered >> pin & 1:
+            continue
+        plain = _slots(pattern, pin)
+        above, fixed = [], 0
+        for v in plain.order:
+            orbit = _orbit(pattern, plain, fixed, v)
+            if fixed or pin is None:
+                orbit &= ~(1 << v)
+                above.append(tuple(sorted(plain.order.index(w) for w in bits(orbit))))
+            else:
+                covered |= orbit
+                above.append(())
+            fixed |= 1 << v
+        plans.append(_Plan(plain.order, plain.need, plain.fwd, tuple(above)))
     return tuple(plans)
 
 
@@ -390,7 +386,7 @@ def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> tuple[int, ...
     entry i of the tuple is the image of pattern vertex i.
 
     The witness is the first the forward-checking search finds: the
-    lex-least, in the slot order of ``_plan(pattern, None)``, of the
+    lex-least, in the slot order of ``_plans(pattern, False)``, of the
     embeddings that meet the lex-leader pairs, which twin pruning never
     skips.
     """

@@ -21,7 +21,7 @@ mask of the new vertex that an automorphism of the parent maps to a smaller
 mask is skipped before its child is built: that child is a copy of an
 earlier one, and the first child of every class is never skipped, so every
 level, count and witness is the same as without the skip (the argument is
-at ``_next_level``).
+at ``_children``).
 
 ``labeled_filter_ex`` is a deliberately different second oracle for n <= 7:
 it holds all 2^C(n,2) labeled graphs as the bits of one Python int, indexed
@@ -152,66 +152,58 @@ def _augment(parent: SimpleGraph, nb_mask: int) -> SimpleGraph:
     return SimpleGraph._from_rows(m + 1, rows)
 
 
-def _next_level(
-    level: Iterable[SimpleGraph], fam: ForbiddenFamily, bound: int
-) -> Iterator[tuple[bytes, SimpleGraph]]:
-    """One vertex more: yield (certificate, graph) once per new class.
+def _children(
+    parent: SimpleGraph, fam: ForbiddenFamily, bound: int
+) -> Iterator[SimpleGraph]:
+    """One vertex more: yield the parent's free children in ascending mask
+    order, where a mask is the new vertex's neighbourhood.
 
-    A child is the parent plus one vertex; it is kept when the new vertex
-    has minimum degree in it, it has at least ``bound`` edges and it is
-    free.  The degree test reads the parent's degrees and the mask only,
-    so a rejected child is never built.
+    A child is kept when the new vertex has minimum degree in it, it has at
+    least ``bound`` edges and it is free.  The degree test reads the
+    parent's degrees and the mask only, so a rejected child is never built.
 
-    From a parent's second admissible mask on, a mask that one of the
-    parent's automorphisms (``automorphisms``) maps to a smaller mask is
-    skipped before its child is built; the first is the least admissible
-    mask, so no search is needed for it.  The yield is the same as without
-    the skip: the edge bound, the degree rule, freeness and the class of
-    the child are all invariant under Aut(parent), so the image mask is
-    admissible and its child is free exactly when this one is, and
-    isomorphic to it.  Nothing maps the least mask of an orbit lower, so it
-    is never skipped, and masks are scanned in ascending order, so it comes
-    first.  Each parent thus yields the same first labeled child of each
-    class as a scan without the skip, ``seen`` keeps the same
-    representatives, and every level, count and budget partial is the
-    same.  The permutations need only be automorphisms, not generate
-    Aut(parent): a mask that none of them maps lower is still certified,
-    and ``seen`` drops it when its class is known.  This is condition (a)
-    of McKay's canonical augmentation (Isomorph-free exhaustive
-    generation, J. Algorithms 26, 1998).
+    From the second admissible mask on, a mask that one of the parent's
+    automorphisms (``automorphisms``) maps to a smaller mask is skipped
+    before its child is built; the first is the least admissible mask, so
+    no search is needed for it.  The caller, which admits the first child
+    of each class, sees the same classes as without the skip: the edge
+    bound, the degree rule, freeness and the class of the child are all
+    invariant under Aut(parent), so the image mask is admissible and its
+    child is free exactly when this one is, and isomorphic to it.  Nothing
+    maps the least mask of an orbit lower, so it is never skipped, and
+    masks are scanned in ascending order, so it comes first.  Each parent
+    thus yields the same first labeled child of each class as a scan
+    without the skip, the caller keeps the same representatives, and every
+    level, count and budget partial is the same.  The permutations need
+    only be automorphisms, not generate Aut(parent): a mask that none of
+    them maps lower is still yielded, and the caller drops it when its
+    class is known.  This is condition (a) of McKay's canonical
+    augmentation (Isomorph-free exhaustive generation, J. Algorithms 26,
+    1998).
     """
-    seen: set[bytes] = set()
-    for parent in level:
-        m = parent.n
-        deg = parent.degrees()
-        low = min(deg, default=0)
-        # the new vertex of degree k has minimum degree iff k <= low, or
-        # k == low + 1 and it is adjacent to every vertex of degree low
-        low_mask = sum(1 << u for u, d in enumerate(deg) if d == low)
-        need = bound - parent.edge_count
-        first = True
-        auts = None  # searched at the second admissible mask
-        for nb in range(1 << m):
-            k = nb.bit_count()
-            if k < need or k > low + 1 or (k > low and low_mask & ~nb):
+    m = parent.n
+    deg = parent.degrees()
+    low = min(deg, default=0)
+    # the new vertex of degree k has minimum degree iff k <= low, or
+    # k == low + 1 and it is adjacent to every vertex of degree low
+    low_mask = sum(1 << u for u, d in enumerate(deg) if d == low)
+    need = bound - parent.edge_count
+    first = True
+    auts = None  # searched at the second admissible mask
+    for nb in range(1 << m):
+        k = nb.bit_count()
+        if k < need or k > low + 1 or (k > low and low_mask & ~nb):
+            continue
+        if first:
+            first = False
+        else:
+            if auts is None:
+                auts = automorphisms(parent)
+            if any(sum(1 << gamma[x] for x in bits(nb)) < nb for gamma in auts):
                 continue
-            if first:
-                first = False
-            else:
-                if auts is None:
-                    auts = automorphisms(parent)
-                if any(
-                    sum(1 << gamma[x] for x in bits(nb)) < nb for gamma in auts
-                ):
-                    continue
-            child = _augment(parent, nb)
-            if contains_disjoint_family_through(child, fam, m):
-                continue
-            cert = certificate(child)
-            if cert in seen:
-                continue
-            seen.add(cert)
-            yield cert, child
+        child = _augment(parent, nb)
+        if not contains_disjoint_family_through(child, fam, m):
+            yield child
 
 
 def brute_force_ex(
@@ -265,49 +257,47 @@ def brute_force_ex(
     if is_free(clique, fam):
         best = max(best, clique.edge_count)
 
-    candidates = 0
-
-    def check_budget():
-        if budget is None:
-            return
-        over = None
-        if budget.max_candidates is not None and candidates > budget.max_candidates:
-            over = f"candidate cap {budget.max_candidates} exceeded"
-        elif (
-            budget.max_seconds is not None
-            and time.monotonic() - started > budget.max_seconds
-        ):
-            over = f"time cap {budget.max_seconds}s exceeded"
-        if over is not None:
-            partial = ExtremalResult(n, fam, best, (), False, candidates)
-            raise BudgetExceededError(over, partial)
-
     # bounds[s]: the fewest edges the s-vertex graph of a min-degree
     # deletion chain of a graph with >= best edges can have
     bounds = [best] * (n + 1)
     for s in range(n, 1, -1):
         b = bounds[s]
         bounds[s - 1] = b - 2 * b // s if b > 0 else b
+    budget = budget or SearchBudget()
+    cap, secs = budget.max_candidates, budget.max_seconds
+    candidates = 0
     current = [SimpleGraph(0)]
     for size in range(1, n + 1):
-        seen: dict[bytes, SimpleGraph] = {}
-        for cert, child in _next_level(current, fam, bounds[size]):
-            seen[cert] = child
-            candidates += 1
-            check_budget()
-        current = [seen[c] for c in sorted(seen)]
+        # the one place a class is admitted: its first child, by certificate
+        level: dict[bytes, SimpleGraph] = {}
+        for parent in current:
+            for child in _children(parent, fam, bounds[size]):
+                cert = certificate(child)
+                if cert in level:
+                    continue
+                level[cert] = child
+                candidates += 1
+                if size == n:
+                    best = max(best, child.edge_count)
+                if cap is not None and candidates > cap:
+                    over = f"candidate cap {cap} exceeded"
+                elif secs is not None and time.monotonic() - started > secs:
+                    over = f"time cap {secs}s exceeded"
+                else:
+                    continue
+                partial = ExtremalResult(n, fam, best, (), False, candidates)
+                raise BudgetExceededError(over, partial)
+        current = [level[c] for c in sorted(level)]
 
     if not current:
         raise ValueError(
             f"every graph on {n} vertices contains the family; ex is undefined"
         )
-    top = max(g.edge_count for g in current)
-    ex_value = max(best, top)
     witnesses = tuple(
-        canonical_form(g)[1] for g in current if g.edge_count == ex_value
+        canonical_form(g)[1] for g in current if g.edge_count == best
     )
     assert witnesses, "a validated seed must be rediscovered at the top level"
-    return ExtremalResult(n, fam, ex_value, witnesses, True, candidates)
+    return ExtremalResult(n, fam, best, witnesses, True, candidates)
 
 
 def labeled_filter_ex(

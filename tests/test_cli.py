@@ -74,6 +74,8 @@ class TestSeedsProvider:
         # no bracket maximizer at n = 9 has a layer; the fallback gives 25 edges
         seeds = build_seeds_provider("wheel:3", parse_family("w7"))(9)
         assert [g.edge_count for g in seeds] == [25]
+        # no layer of the k = 3 construction fits on 4 vertices: no seed
+        assert build_seeds_provider("wheel:3", parse_family("w7"))(4) == ()
 
     def test_seeds_are_free_and_of_order_n(self):
         for spec, fam in (("wheels:3,2", parse_family("w7,w5")),

@@ -127,6 +127,10 @@ class TestCriticality:
         assert not rep.is_vertex_critical
         assert not rep.is_edge_critical
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            criticality(SimpleGraph(0))
+
     def test_single_edge_is_edge_critical(self):
         rep = criticality(path(2))
         assert rep.chi == 2

@@ -170,6 +170,11 @@ class TestWheelConstruction:
         for build in (wheel_construction_recipe, wheel_extremal_graph):
             with pytest.raises(ValueError, match="needs k >= 3"):
                 build(12, 2)
+        # so do the layer graphs and their check
+        with pytest.raises(ValueError, match="need k >= 3, got k=2"):
+            path_free_regular_graph(4, 2)
+        with pytest.raises(ValueError, match="need k >= 3, got k=2"):
+            is_path_free_regular(path(3), 2)
         g = best_feasible_wheel_graph(12, 2)
         assert g == build_from_recipe(ConstructionRecipe(12, 2, 1, 6))
 
@@ -336,6 +341,8 @@ class TestUnionWheels:
             union_wheels_value(20, [])
         with pytest.raises(ValueError):
             union_wheels_value(20, [3, 1])
+        with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+            union_wheels_value(0, [3])
 
 
 class TestProperOrder:

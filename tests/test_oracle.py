@@ -46,20 +46,24 @@ from turanlab import (
 from turanlab.cli import parse_family
 from turanlab.containment import as_family
 from turanlab.graph6 import json_doc
-from turanlab.oracle import _next_level
+from turanlab.oracle import _children
 
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def grow(fam, n: int) -> list[list[bytes]]:
-    """Certificates of every class _next_level reaches on 1..n vertices,
-    with no edge bound."""
-    level, out = [SimpleGraph(0)], []
+    """Certificates of every class _children reaches on 1..n vertices,
+    with no edge bound, each class kept at its first child."""
+    fam, level, out = as_family(fam), [SimpleGraph(0)], []
     for _ in range(n):
-        found = sorted(_next_level(level, as_family(fam), 0))
-        level = [g for _, g in found]
-        out.append([c for c, _ in found])
+        found: dict[bytes, SimpleGraph] = {}
+        for parent in level:
+            for child in _children(parent, fam, 0):
+                found.setdefault(certificate(child), child)
+        certs = sorted(found)
+        level = [found[c] for c in certs]
+        out.append(certs)
     return out
 
 
@@ -104,6 +108,8 @@ class TestBruteForce:
     def test_hard_cap(self):
         with pytest.raises(ValueError):
             brute_force_ex(11, [complete(3)])
+        with pytest.raises(ValueError, match="need n >= 0, got n=-1"):
+            brute_force_ex(-1, [complete(3)])
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -170,6 +176,14 @@ class TestBruteForce:
             brute_force_ex(9, [cycle(4)], budget=SearchBudget(max_candidates=cap))
         golden = GOLDEN / f"budget_c4_n9_cap{cap}.json"
         assert info.value.partial.to_json() == golden.read_text()
+
+    def test_budget_partial_counts_the_top_level(self):
+        # 1226 of the 1753 classes are on 9 vertices: a trip among them
+        # reports the best one admitted, not the K3 + E6 seed's 3 edges
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force_ex(9, [cycle(4)], budget=SearchBudget(max_candidates=1752))
+        partial = info.value.partial
+        assert (partial.ex_value, partial.candidates) == (13, 1753)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -303,7 +317,7 @@ class TestOrbitSkip:
             if not is_free(g, fam):
                 continue
             built.clear()
-            list(_next_level([g], fam, 0))
+            list(_children(g, fam, 0))
             deg = g.degrees()
             low = min(deg)
             low_mask = sum(1 << u for u, d in enumerate(deg) if d == low)
@@ -369,6 +383,8 @@ class TestLabeledFilter:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             labeled_filter_ex(8, [complete(3)])
+        with pytest.raises(ValueError, match="need n >= 0, got n=-1"):
+            labeled_filter_ex(-1, [complete(3)])
 
     @staticmethod
     def exhaustive(n: int, pats) -> tuple[int, int, set[bytes]]:
