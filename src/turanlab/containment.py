@@ -28,16 +28,22 @@ none of that vertex's twins: target-side symmetry breaking (Zampelli,
 Deville and Dupont, "Symmetry breaking in subgraph pattern matching",
 SymCon 2006) on top of the pattern-side lex-leader pairs (Crawford,
 Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search problems",
-KR 1996).  Both are exact together: in the orbit of any embedding under
-Aut(F) and the twin swaps that fix the pinned vertex, the lex-least
-assignment in slot order meets every pair, and it passes the twin rule,
-since a smaller unused twin swapped in would give a smaller assignment.
-So a search finds an embedding exactly when one exists, and one embedding
-of every copy up to twin swaps.  The first embedding found, the witness, is
-the lex-least in slot order of those that meet the pairs, which is also the
-lex-least of all.  The paper's constructions are made almost wholly of
-twins, so a wheel-freeness check that failed once per twin fails once per
-class.
+KR 1996).  Both are exact together when the pinned slots, with single-vertex
+domains, come first and every later domain is closed under swapping two
+twins that are not pinned images.  Then, in the orbit of any valid
+assignment under Aut(F) and those swaps, the lex-least assignment in slot
+order meets every pair, and it passes the twin rule, since a smaller unused
+twin swapped in would give a smaller assignment in the same orbit.  So a
+search finds an assignment exactly when one exists, and one of every copy
+up to twin swaps; the first found, the witness, is the lex-least in slot
+order of those that meet the pairs, which is also the lex-least of all.
+Twins have equal degrees, so all three searches meet the condition: an
+unpinned one draws every slot from a degree class; one through a host
+vertex pins it on slot 0 and draws the rest from degree classes; and
+``_orbit``'s self-embedding searches on the pattern pin the fixed vertices
+and v on w first, and draw each later slot from a degree class less the
+fixed vertices.  The paper's constructions are made almost wholly of twins,
+so a wheel-freeness check that failed once per twin fails once per class.
 
 The embedding generator owns the through-vertex pins: for the copies
 through a host vertex it runs one search per orbit representative of
@@ -48,9 +54,8 @@ component that v's cannot map onto fails there, before any other is searched.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
-from itertools import compress
-from typing import Callable, Iterator, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 from .coloring import chromatic_number
 from .graphs import SimpleGraph, bits, disjoint_union
@@ -138,29 +143,21 @@ def as_family(family) -> ForbiddenFamily:
 PLAN_CACHE_SIZE = 256  # searches' plans kept; a miss only recompiles one
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _units(n: int) -> tuple[int, ...]:
-    """The singleton masks ``1 << u`` for u < n, kept for as many host
-    orders as there are plans."""
-    return tuple(1 << u for u in range(n))
-
-
-def _twins(host: SimpleGraph) -> list[int]:
-    """The mask of each host vertex's twin class.
+def _twins(adj: Sequence[int]) -> list[int]:
+    """The mask of each vertex's twin class, from the adjacency rows.
 
     Open and closed rows share one dict: N(x) = N[y] would put y in N(x)
     but x outside N[y].  No vertex has both a false twin w and a true twin
     x (x would be adjacent to w but not in N[w] = N[x]), so the union of
     its two masks is its class.
     """
-    units = _units(host.n)
     cls: dict[int, int] = {}
     get = cls.get
-    for row, unit in zip(host.adj, units):
-        cls[row] = get(row, 0) | unit
-        row |= unit
-        cls[row] = get(row, 0) | unit
-    return [cls[row] | cls[row | unit] for row, unit in zip(host.adj, units)]
+    for u, row in enumerate(adj):
+        cls[row] = get(row, 0) | 1 << u
+        row |= 1 << u
+        cls[row] = get(row, 0) | 1 << u
+    return [cls[row] | cls[row | 1 << u] for u, row in enumerate(adj)]
 
 
 class _Plan(NamedTuple):
@@ -178,12 +175,7 @@ class _Plan(NamedTuple):
     above: tuple[tuple[int, ...], ...]
 
 
-def _search(
-    plan: _Plan,
-    adj: Sequence[int],
-    doms: list[int],
-    twins: Callable[[], Sequence[int]],
-) -> Iterator[list[int]]:
+def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[int]]:
     """Yield slot-indexed host assignments, slot i drawn from ``doms[i]``.
 
     Forward checking on candidate bitsets (McCreesh, Prosser and Trimble,
@@ -192,12 +184,12 @@ def _search(
     vertices, and a lex-leader partner's domain keeps only the vertices
     above the image; a domain that empties backtracks at once.  Candidates
     go in ascending host order, and once u has been tried at a slot, none
-    of u's twins is tried there, ``twins()[u]`` being the mask of u's
-    class: it yields one assignment per class up to swapping host twins,
+    of u's twins is tried there: when ``doms`` meet the module docstring's
+    condition, it yields one assignment per class up to swapping host twins,
     and the lex-least valid assignment that meets the pairs among them.
-    ``twins`` is called at most once, when a slot first moves on to another
-    candidate, so a search that succeeds on its first descent never builds
-    the masks.  The yielded list is reused.
+    The twin classes are built from ``adj`` at most once, when a slot first
+    moves on to another candidate, so a search that succeeds on its first
+    descent never builds them.  The yielded list is reused.
     """
     p = len(plan.order)
     fwd, above = plan.fwd, plan.above
@@ -232,7 +224,7 @@ def _search(
                     yield from extend(i + 1, nd, now)
             if cand:
                 if not twin:
-                    twin = twins()
+                    twin = _twins(adj)
                 cand &= ~twin[u]
 
     try:
@@ -298,7 +290,7 @@ def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
             1 << x if fixed >> x & 1 else 1 << w if x == v else same[x]
             for x in plain.order
         ]
-        for images in _search(plain, pattern.adj, doms, partial(_units, p)):
+        for images in _search(plain, pattern.adj, doms):
             for x, image in zip(plain.order, images):
                 root[find(x)] = find(image)
             break
@@ -362,19 +354,18 @@ def _iter_embeddings(
     if p > host.n:
         return
     degrees = host.degrees()
-    units = _units(host.n)
     fit: dict[int, int] = {}
     for plan in _plans(pattern, through is not None):
         for need in plan.need:
             if need not in fit:
-                fit[need] = sum(compress(units, map(need.__le__, degrees)))
+                fit[need] = sum(1 << u for u, d in enumerate(degrees) if d >= need)
         doms = [fit[need] for need in plan.need]
         if through is not None:
-            doms[0] &= units[through]
+            doms[0] &= 1 << through
         if not all(doms):
             continue
         order = plan.order
-        for images in _search(plan, host.adj, doms, partial(_twins, host)):
+        for images in _search(plan, host.adj, doms):
             result = [0] * p
             for v, u in zip(order, images):
                 result[v] = u

@@ -328,6 +328,8 @@ class TestUnionFormula:
 class TestUnionWheels:
     def test_reference_value(self):
         assert union_wheels_value(24, [3, 2]) == FormulaValue(162, ((2, 13),))
+        with pytest.raises(ValueError, match="argmax must be nonempty"):
+            FormulaValue(1, ())
 
     def test_forms_agree_on_a_sweep(self):
         for n in range(1, 60):

@@ -82,6 +82,9 @@ class TestForbiddenFamily:
         fam = ForbiddenFamily([complete(3), complete(4)])
         assert fam[0] == complete(3)
         assert fam[1] == complete(4)
+        assert repr(fam) == (
+            "ForbiddenFamily([SimpleGraph(n=3, e=3), SimpleGraph(n=4, e=6)])"
+        )
 
 
 class TestDisjointFamily:
@@ -397,3 +400,40 @@ class TestOneEmbeddingPerCopy:
         info = _plans.cache_info()
         assert info.maxsize == PLAN_CACHE_SIZE
         assert info.currsize <= PLAN_CACHE_SIZE
+
+
+class TestStabilizerChain:
+    """Each plan's lex-leader pairs are the orbits of its stabilizer chain,
+    checked against networkx automorphisms on twin-rich patterns: the
+    self-embedding searches that find the orbits run with the twin rule on."""
+
+    PATTERNS = [
+        complete(5),
+        cycle(4),
+        wheel(5),
+        wheel(7),
+        complete_multipartite([2, 3]),
+        complete_multipartite([3, 3]),
+        complete_multipartite([1, 4]),
+        disjoint_union([complete(3), complete(3)]),
+        disjoint_union([cycle(5), cycle(5)]),
+        disjoint_union([wheel(7), wheel(5)]),
+    ]
+
+    def test_chain_orbits_against_networkx(self):
+        pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        for pat in self.PATTERNS:
+            autos = list(GraphMatcher(_to_nx(pat), _to_nx(pat)).isomorphisms_iter())
+            for pinned in (False, True):
+                for plan in _plans(pat, pinned):
+                    order, above = plan.order, plan.above
+                    for i, v in enumerate(order):
+                        if pinned and i == 0:
+                            assert above[0] == ()
+                            continue
+                        orbit = {
+                            a[v] for a in autos if all(a[x] == x for x in order[:i])
+                        }
+                        assert {order[j] for j in above[i]} | {v} == orbit, (pat, i)

@@ -38,6 +38,8 @@ class TestSimpleGraph:
             SimpleGraph(3, [(1, 1)])
         with pytest.raises(ValueError):
             SimpleGraph(3, [(0, 3)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            SimpleGraph(-1)
 
     def test_duplicate_edges_collapse(self):
         g = SimpleGraph(3, [(0, 1), (1, 0), (0, 1)])
@@ -96,6 +98,9 @@ class TestSimpleGraph:
         for u, v, bad in ((-1, 2, -1), (0, 3, 3)):
             with pytest.raises(ValueError, match=f"vertex {bad}"):
                 h.without_edge(u, v)
+        for u, v in ((1, 1), (0, 3)):
+            with pytest.raises(ValueError, match=rf"invalid edge \({u},{v}\)"):
+                g.with_edge(u, v)
 
 
 class TestBuilders:
@@ -118,6 +123,22 @@ class TestBuilders:
 
     def test_wheel_small_is_complete(self):
         assert wheel(4) == complete(4)
+
+    def test_rejects_bad_arguments(self):
+        for build, args in (
+            (path, (0,)),
+            (cycle, (2,)),
+            (wheel, (3,)),
+            (complete_multipartite, ([],)),
+            (complete_multipartite, ([2, 0],)),
+            (turan, (3, 0)),
+            (turan, (-1, 2)),
+            (turan_edge_count, (-1, 2)),
+            (disjoint_union, ([],)),
+            (join, ([],)),
+        ):
+            with pytest.raises(ValueError):
+                build(*args)
 
     def test_complete_multipartite(self):
         g = complete_multipartite([2, 3])

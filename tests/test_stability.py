@@ -208,3 +208,4 @@ class TestStructureAudit:
         audit = structure_audit(turan(9, 2), fam, self.footer_provider)
         doc = audit.to_json_dict()
         assert doc["schema"] == "structure-audit/1"
+        assert json.loads(audit.to_json()) == doc
