@@ -77,30 +77,17 @@ def _refine(
     return cells
 
 
-def _leaf_bytes(n: int, adj: tuple[int, ...], order: list[int]) -> bytes:
-    """Adjacency upper triangle packed row-major under the given labeling."""
-    out = bytearray(n.to_bytes(4, "big"))
-    acc = 0
-    nbits = 0
-    for p in range(n):
-        row = adj[order[p]]
-        for q in range(p + 1, n):
-            acc = (acc << 1) | ((row >> order[q]) & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
-
-
 def _canonical_order(
     g: SimpleGraph,
 ) -> tuple[bytes, list[int], list[tuple[tuple[int, ...], int]]]:
     """The certificate, the vertex order whose upper triangle it packs, and
-    the automorphisms found on the way, each with its moved-point mask."""
+    the automorphisms found on the way, each with its moved-point mask.
+
+    Each leaf is compared by one int: its upper triangle read row-major, the
+    first pair most significant.  Every leaf has the same width, so int
+    order is the order of the packed bytes, and the least code is packed
+    once: 4 bytes of n, then the code shifted to a byte boundary.
+    """
     n = g.n
     adj = g.adj
     by_degree: dict[int, list[int]] = {}
@@ -108,7 +95,7 @@ def _canonical_order(
         by_degree.setdefault(adj[v].bit_count(), []).append(v)
     initial = [tuple(by_degree[d]) for d in sorted(by_degree)]
 
-    best: list = [None, None, ()]  # certificate, order, path
+    best: list = [None, None, ()]  # code, order, path
     gens: list[tuple[tuple[int, ...], int]] = []  # automorphism, moved points
 
     def search(cells: list[tuple[int, ...]], path: tuple[int, ...]) -> int:
@@ -122,10 +109,14 @@ def _canonical_order(
                 target_size = len(cell)
         if target_index < 0:
             order = [c[0] for c in cells]
-            cert = _leaf_bytes(n, adj, order)
-            if best[0] is None or cert < best[0]:
-                best[:] = cert, order, path
-            elif cert == best[0]:
+            code = 0
+            for p, v in enumerate(order):
+                row = adj[v]
+                for u in order[p + 1:]:
+                    code = code << 1 | row >> u & 1
+            if best[0] is None or code < best[0]:
+                best[:] = code, order, path
+            elif code == best[0]:
                 gamma = [0] * n
                 for p in range(n):
                     gamma[best[1][p]] = order[p]
@@ -174,7 +165,10 @@ def _canonical_order(
         search(root, ())
     finally:
         del search  # the closure refers to itself: break the cycle
-    return best[0], best[1], gens
+    width = n * (n - 1) // 2
+    size = -(-width // 8)
+    cert = n.to_bytes(4, "big") + (best[0] << 8 * size - width).to_bytes(size, "big")
+    return cert, best[1], gens
 
 
 def certificate(g: SimpleGraph) -> bytes:

@@ -157,7 +157,8 @@ def build_seeds_provider(
             graphs = []
             for ell, k in enumerate(ints, start=1):
                 try:
-                    graphs.append(best_feasible_wheel_graph(n, k, ell=ell))
+                    inner = best_feasible_wheel_graph(n - ell + 1, k)
+                    graphs.append(union_extremal_graph(n, ell, inner))
                 except ValueError:  # InfeasibleConstructionError is one
                     pass
         return tuple(g for g in graphs if is_free(g, family))

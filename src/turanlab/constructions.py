@@ -98,7 +98,10 @@ def wheel_extremal_value(n: int, k: int) -> FormulaValue:
 def _component_orders(n0: int, k: int) -> list[int] | None:
     """Split n0 into component orders in [k, 2k-2], at most one odd when
     the target degree k-1 is odd.  Returns None when impossible: for every
-    n0 < k, and for every k < 2, where [k, 2k-2] is empty.
+    n0 < k, and for every k < 2, where [k, 2k-2] is empty.  The orders come
+    in build order: the (k-1)-regular components in descending order, then
+    the one order s with (k-1)*s odd, if any, whose vertex 0 is the
+    deficient vertex.
 
     The fewest parts, t = ceil(n0 / (2k-2)), split evenly lie in [k, 2k-2]
     unless t > n0 // k, and then no t does.  A component of odd order cannot
@@ -117,7 +120,7 @@ def _component_orders(n0: int, k: int) -> list[int] | None:
         for i, j in zip(odd[::2], odd[1::2]):
             sizes[i] += 1
             sizes[j] -= 1
-    return sorted(sizes, reverse=True)
+    return sorted(sizes, key=lambda s: ((k - 1) * s % 2, -s))
 
 
 def _circulant_rows(c: int, distances: Sequence[int]) -> list[int]:
@@ -149,17 +152,8 @@ def _regular_component(c: int, d: int) -> SimpleGraph:
     return SimpleGraph._from_rows(c, rows)
 
 
-def _layer_layout(n0: int, k: int) -> tuple[tuple[int, bool], ...]:
-    """(order, exactly_regular) per component of the layer on a feasible n0
-    (one that ``_component_orders`` splits), the single odd-order component
-    (if any) last: its vertex 0 is the one deficient vertex when the parity
-    demands one."""
-    layout = [(s, (k - 1) * s % 2 == 0) for s in _component_orders(n0, k)]
-    return tuple(sorted(layout, key=lambda entry: not entry[1]))
-
-
 def _path_free_layer(n0: int, k: int) -> SimpleGraph:
-    g = disjoint_union([_regular_component(c, k - 1) for c, _ in _layer_layout(n0, k)])
+    g = disjoint_union([_regular_component(c, k - 1) for c in _component_orders(n0, k)])
     assert g.edge_count == ((k - 1) * n0) // 2
     return g
 
@@ -236,7 +230,8 @@ class ConstructionRecipe:
 
     @property
     def component_layout(self) -> tuple[tuple[int, bool], ...]:
-        return _layer_layout(self.n0, self.k)
+        k = self.k
+        return tuple((s, (k - 1) * s % 2 == 0) for s in _component_orders(self.n0, k))
 
     def to_json_dict(self) -> dict:
         return {
@@ -325,34 +320,31 @@ def build_from_recipe(recipe: ConstructionRecipe) -> SimpleGraph:
     return union_extremal_graph(recipe.n, recipe.ell, inner)
 
 
-def wheel_extremal_graph(n: int, k: int, n0: int | None = None) -> SimpleGraph:
-    """The bipartite-plus-layer construction matching the wheel formula.
-
-    When feasible at the chosen n0 the edge count equals the bracket at n0;
-    with the default n0 (largest feasible maximizer) it equals
-    wheel_extremal_value(n, k).value.
+def wheel_extremal_graph(n: int, k: int) -> SimpleGraph:
+    """The bipartite-plus-layer construction matching the wheel formula: its
+    edge count is wheel_extremal_value(n, k).value.  For a chosen n0, build
+    ``wheel_construction_recipe(n, k, n0=n0)``.
     """
-    recipe = wheel_construction_recipe(n, k, n0=n0)
+    recipe = wheel_construction_recipe(n, k)
     g = build_from_recipe(recipe)
     assert g.edge_count == _wheel_bracket(n, k, recipe.n0)
     return g
 
 
-def best_feasible_wheel_graph(n: int, k: int, ell: int = 1) -> SimpleGraph:
+def best_feasible_wheel_graph(n: int, k: int) -> SimpleGraph:
     """The best realizable construction over every feasible n0, for seeding.
 
     Unlike wheel_extremal_graph this does not insist on a formula maximizer:
     at orders where every maximizer has an unrealizable layer it falls back
     to the best n0 that works, so exhaustive searches can always start from
-    a strong verified lower bound.  Accepts k >= 2.
+    a strong verified lower bound.  Accepts k >= 2.  With m = n - ell + 1,
+    the seed with ell layers is
+    ``union_extremal_graph(n, ell, best_feasible_wheel_graph(m, k))``.
     """
-    m = n - ell + 1
-    n0 = _best_n0(m, k)
+    n0 = _best_n0(n, k)
     if n0 is None:
-        raise InfeasibleConstructionError(
-            f"no feasible n0 at inner order {m} for k={k}"
-        )
-    return build_from_recipe(ConstructionRecipe(n, k, ell, n0))
+        raise InfeasibleConstructionError(f"no feasible n0 at order {n} for k={k}")
+    return build_from_recipe(ConstructionRecipe(n, k, 1, n0))
 
 
 # === union formulas ===

@@ -78,11 +78,19 @@ class TestSeedsProvider:
         assert build_seeds_provider("wheel:3", parse_family("w7"))(4) == ()
 
     def test_seeds_are_free_and_of_order_n(self):
-        for spec, fam in (("wheels:3,2", parse_family("w7,w5")),
-                          ("turan:2", parse_family("k3"))):
-            seeds = build_seeds_provider(spec, fam)(9)
+        # at n = 12 the second wheel seed is K1 joined to the best k = 2
+        # construction on 11 vertices
+        for spec, fam, n, pinned in (
+            ("wheels:3,2", parse_family("w7,w5"), 9, None),
+            ("turan:2", parse_family("k3"), 9, None),
+            ("wheels:3,2", parse_family("w7,w5"), 12,
+             [("Kl?G^~~~f{^o", 43), ("K{eCN~~~f{^o", 45)]),
+        ):
+            seeds = build_seeds_provider(spec, fam)(n)
             assert seeds
-            assert all(g.n == 9 and is_free(g, fam) for g in seeds)
+            assert all(g.n == n and is_free(g, fam) for g in seeds)
+            if pinned is not None:
+                assert [(encode_graph6(g), g.edge_count) for g in seeds] == pinned
 
     def test_unknown_kind_raises_when_built(self):
         with pytest.raises(ValueError, match="unrecognized formula"):
@@ -239,7 +247,7 @@ class TestExFormula:
         assert "value 111" in out
         assert "argmax n0: 10, 11" in out
 
-    def test_wheels_flags_small_k(self, capsys):
+    def test_wheels_flags_small_k(self, tmp_path, capsys):
         assert main(["ex-formula", "--formula", "wheels:3,2", "--n", "24"]) == 0
         out = capsys.readouterr().out
         assert "value 162" in out
@@ -249,6 +257,17 @@ class TestExFormula:
             "per-index argmax l: 3",
             "note: entries with k < 3 have no closed-form backing: 2, 2",
         ]
+        # with every k >= 3 nothing is flagged and no note is printed
+        out = tmp_path / "wheels.json"
+        assert main(["ex-formula", "--formula", "wheels:4,3", "--n", "30",
+                     "--json", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "value 255",
+            "argmax (i, n0): (2, 16)",
+            "per-index argmax l: 2",
+        ]
+        doc = json.loads(out.read_text())
+        assert (doc["flagged_ks"], doc["per_index_argmax"]) == ([], [2])
 
     def test_exactly_one_formula_required(self, capsys):
         assert main(["ex-formula", "--n", "20"]) == 2

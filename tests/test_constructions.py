@@ -17,6 +17,7 @@ from turanlab import (
     check_properly_ordered,
     complete,
     contains_subgraph,
+    encode_graph6,
     is_free,
     is_path_free_regular,
     path,
@@ -148,7 +149,7 @@ class TestWheelConstruction:
         buildable = []
         for n in range(31):
             try:
-                g = best_feasible_wheel_graph(n, 3, ell=2)
+                g = union_extremal_graph(n, 2, best_feasible_wheel_graph(n - 1, 3))
             except InfeasibleConstructionError:
                 continue
             assert is_free(g, [wheel(7), wheel(7)]), n
@@ -156,7 +157,7 @@ class TestWheelConstruction:
         assert buildable == list(range(6, 31))
 
     def test_explicit_bipartition_override(self):
-        g = wheel_extremal_graph(9, 3, n0=4)
+        g = build_from_recipe(wheel_construction_recipe(9, 3, n0=4))
         assert g.n == 9
         assert contains_subgraph(g, wheel(7)) is None
 
@@ -177,6 +178,19 @@ class TestWheelConstruction:
             is_path_free_regular(path(3), 2)
         g = best_feasible_wheel_graph(12, 2)
         assert g == build_from_recipe(ConstructionRecipe(12, 2, 1, 6))
+
+    def test_layer_build_order_pinned(self):
+        # when k - 1 is odd the component with the deficient vertex is built
+        # last, after the regular ones in descending order
+        for n, k, n0, layout, edges, g6 in (
+            (16, 4, 9, ((4, True), (5, False)), 77, "O~?GGKJ~~~~{~w~w^{F~?"),
+            (23, 6, 13, ((6, True), (7, False)), 163,
+             "V~~w?CB?WB_V?v~~~~~~{~~b~}F~{F~{B~}?~~_F~{??"),
+        ):
+            recipe = wheel_construction_recipe(n, k)
+            assert (recipe.n0, recipe.component_layout) == (n0, layout)
+            g = wheel_extremal_graph(n, k)
+            assert (g.edge_count, encode_graph6(g)) == (edges, g6)
 
     def test_best_feasible_fallback(self):
         # falls back to the best bracket value owning a buildable layer
@@ -271,10 +285,10 @@ class TestN0Choice:
                     ]
                     if not keys:
                         with pytest.raises(InfeasibleConstructionError):
-                            best_feasible_wheel_graph(n, k, ell)
+                            best_feasible_wheel_graph(m, k)
                         continue
                     bracket, n0 = max(keys)
-                    g = best_feasible_wheel_graph(n, k, ell)
+                    g = union_extremal_graph(n, ell, best_feasible_wheel_graph(m, k))
                     assert g == build_from_recipe(
                         wheel_construction_recipe(n, k, n0=n0, ell=ell)
                     )

@@ -21,6 +21,7 @@ from turanlab import (
     SimpleGraph,
     best_feasible_wheel_graph,
     brute_force_ex,
+    build_from_recipe,
     canonical_form,
     certificate,
     complete,
@@ -40,6 +41,7 @@ from turanlab import (
     union_extremal_graph,
     union_extremal_value,
     wheel,
+    wheel_construction_recipe,
     wheel_extremal_graph,
     wheel_extremal_value,
 )
@@ -481,7 +483,9 @@ class TestThresholdScan:
             [wheel(7)],
             range(7, 10),
             lambda n: wheel_extremal_value(n, 3).value,
-            seeds_provider=lambda n: (wheel_extremal_graph(n, 3, n0=4),),
+            seeds_provider=lambda n: (
+                build_from_recipe(wheel_construction_recipe(n, 3, n0=4)),
+            ),
         )
         matches = [row.match for row in report.rows]
         assert matches == [True, True, False]
