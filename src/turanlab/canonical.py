@@ -3,7 +3,7 @@
 ``certificate`` returns a byte string that is identical for two graphs if and
 only if they are isomorphic; ``canonical_form`` also returns the graph
 relabeled into the order that the certificate packs.  It is computed by
-equitable refinement plus individualization: starting from the degree
+equitable refinement plus individualization: starting from the unit
 partition, the partition is refined until equitable; when it is not yet
 discrete, each vertex of the first smallest cell is individualized in turn
 and the search recurses, keeping the lexicographically smallest adjacency
@@ -13,11 +13,11 @@ Refinement is a splitter stack that pushes every cell it creates.  Once a
 cell has been used as a splitter, every cell is uniform against it, and
 later splits keep that true; since each final cell was pushed when it was
 created and the stack drains, the final partition is equitable without a
-separate check.  The root pushes every degree cell.  A child that
-individualizes v pushes only the rest of v's cell: the other cells belong
-to an equitable partition, so every cell below it is already uniform
-against them, and a cell uniform against v's old cell and against the rest
-is uniform against {v}.
+separate check.  The root pushes V, which splits the unit cell by degree.  A
+child that individualizes v pushes only the rest of v's cell: the other
+cells belong to an equitable partition, so every cell below it is already
+uniform against them, and a cell uniform against v's old cell and against
+the rest is uniform against {v}.
 
 Leaves that reproduce the best encoding reveal automorphisms, each stored
 with the mask of the points it moves, so "fixes the individualization path"
@@ -90,16 +90,14 @@ def _canonical_order(
     """
     n = g.n
     adj = g.adj
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
-    initial = [tuple(by_degree[d]) for d in sorted(by_degree)]
-
     best: list = [None, None, ()]  # code, order, path
     gens: list[tuple[tuple[int, ...], int]] = []  # automorphism, moved points
 
-    def search(cells: list[tuple[int, ...]], path: tuple[int, ...]) -> int:
-        """Search below an equitable node; returns the depth to resume at."""
+    def search(
+        cells: list[tuple[int, ...]], splitters: list[int], path: tuple[int, ...]
+    ) -> int:
+        """Refine a node and search below it; returns the depth to resume at."""
+        cells = _refine(adj, cells, splitters)
         depth = len(path)
         target_index = -1
         target_size = n + 1
@@ -149,20 +147,19 @@ def _canonical_order(
             if orbit[v] & explored:
                 continue
             rest = tuple(u for u in target if u != v)
-            child = _refine(
-                adj,
+            resume = search(
                 cells[:target_index] + [(v,), rest] + cells[target_index + 1:],
                 [tmask ^ 1 << v],
+                path + (v,),
             )
-            resume = search(child, path + (v,))
             if resume < depth:
                 return resume
             explored |= 1 << v
         return depth - 1
 
-    root = _refine(adj, initial, [sum(1 << v for v in c) for c in initial])
     try:
-        search(root, ())
+        # the root: the unit partition and V; the null graph's has no cell
+        search([tuple(range(n))] if n else [], [(1 << n) - 1], ())
     finally:
         del search  # the closure refers to itself: break the cycle
     width = n * (n - 1) // 2

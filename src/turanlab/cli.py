@@ -139,28 +139,28 @@ def build_seeds_provider(
 ) -> Callable[[int], tuple[SimpleGraph, ...]]:
     """Construction seeds matching a formula spec, filtered to free graphs.
 
-    Seeding only sharpens the oracle's pruning bound; a candidate that is
-    not family-free (or not buildable at this order) is silently dropped.
+    Layer l = 1..min(h, n) joins K_{l-1} to T(m, r) or to the best feasible
+    wheel construction for k_l on m = n - l + 1 vertices; h is 1 for
+    ``turan`` and ``wheel``, |family| for ``union-turan``, |ks| for
+    ``wheels``.  Seeding only sharpens the oracle's pruning bound, so a
+    layer that is not buildable or not family-free is silently dropped.
     The spec itself is validated once, here.
     """
     kind, ints = _parse_formula_spec(spec)
+    if kind in ("turan", "union-turan"):
+        h = len(family) if kind == "union-turan" else 1
+        inner = lambda m, ell: turan(m, ints[0])
+    else:
+        h = len(ints)
+        inner = lambda m, ell: best_feasible_wheel_graph(m, ints[ell - 1])
 
     def provide(n: int) -> tuple[SimpleGraph, ...]:
-        if kind == "turan":
-            graphs = [turan(n, ints[0])]
-        elif kind == "union-turan":
-            graphs = [
-                union_extremal_graph(n, ell, turan(n - ell + 1, ints[0]))
-                for ell in range(1, min(len(family), n) + 1)
-            ]
-        else:
-            graphs = []
-            for ell, k in enumerate(ints, start=1):
-                try:
-                    inner = best_feasible_wheel_graph(n - ell + 1, k)
-                    graphs.append(union_extremal_graph(n, ell, inner))
-                except ValueError:  # InfeasibleConstructionError is one
-                    pass
+        graphs = []
+        for ell in range(1, min(h, n) + 1):
+            try:
+                graphs.append(union_extremal_graph(n, ell, inner(n - ell + 1, ell)))
+            except ValueError:  # InfeasibleConstructionError is one
+                pass
         return tuple(g for g in graphs if is_free(g, family))
 
     return provide

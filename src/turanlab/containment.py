@@ -100,8 +100,9 @@ class ForbiddenFamily:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        """Member i's first vertex in ``union``.  The largest member comes
-        first, so a search fails fast, and equal members sit side by side."""
+        """Member i's first vertex in ``union``, largest member first and
+        equal members side by side: the order depends only on the members,
+        so any reordering of a family searches one union with one plan set."""
         pats = self.patterns
         order = sorted(
             range(len(pats)),

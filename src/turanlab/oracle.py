@@ -231,11 +231,6 @@ def brute_force_ex(
             "pass allow_large=True (--allow-large) to force"
         )
 
-    if fam.total_order > n:
-        # the union cannot fit at all, so the complete graph is the unique
-        # extremal graph
-        return ExtremalResult(n, fam, comb(n, 2), (complete(n),), True, 1)
-
     started = time.monotonic()
     best = -1
     for seed in seeds:
@@ -244,6 +239,10 @@ def brute_force_ex(
         if not is_free(seed, fam):
             raise ValueError("seed contains the forbidden family")
         best = max(best, seed.edge_count)
+    if fam.total_order > n:
+        # the union cannot fit at all, so the complete graph is the unique
+        # extremal graph
+        return ExtremalResult(n, fam, comb(n, 2), (complete(n),), True, 1)
     r = fam.min_chromatic - 1
     if r >= 1:
         t = turan(n, r)

@@ -194,6 +194,11 @@ class TestAtlas:
             cells = _refine(g.adj, start, [mask(c) for c in start])
             assert sorted(v for c in cells for v in c) == list(range(g.n))
             assert is_equitable(g, cells)
+            # the search's root: the unit partition refined against V gives
+            # the degree partition's cells, in order
+            if g.n >= 1:
+                unit = _refine(g.adj, [tuple(range(g.n))], [(1 << g.n) - 1])
+                assert unit == cells
             # a vertex pinned in front of the degree partition, which is not
             # equitable, so every cell is a splitter
             if g.n > 1:

@@ -79,12 +79,18 @@ class TestSeedsProvider:
 
     def test_seeds_are_free_and_of_order_n(self):
         # at n = 12 the second wheel seed is K1 joined to the best k = 2
-        # construction on 11 vertices
+        # construction on 11 vertices; the layers stop at l = n when the
+        # family has more members, and a layer with no feasible wheel
+        # construction has no seed
         for spec, fam, n, pinned in (
             ("wheels:3,2", parse_family("w7,w5"), 9, None),
             ("turan:2", parse_family("k3"), 9, None),
             ("wheels:3,2", parse_family("w7,w5"), 12,
              [("Kl?G^~~~f{^o", 43), ("K{eCN~~~f{^o", 45)]),
+            ("union-turan:2", parse_family("k3,k3,k3,k3"), 3,
+             [("BW", 2), ("Bw", 3), ("Bw", 3)]),
+            ("wheels:3,3,2,2", parse_family("w7,w7,w5,w5"), 6,
+             [("El~w", 13), ("E~~w", 15), ("E~~w", 15)]),
         ):
             seeds = build_seeds_provider(spec, fam)(n)
             assert seeds

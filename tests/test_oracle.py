@@ -120,6 +120,9 @@ class TestBruteForce:
             brute_force_ex(5, [complete(3)], seeds=(turan(4, 2),))
         with pytest.raises(ValueError, match="seed contains the forbidden family"):
             brute_force_ex(6, [complete(3)], seeds=[complete(6)])
+        # below the union's order too, where the answer is K_n
+        with pytest.raises(ValueError, match="seed has 5 vertices, expected 2"):
+            brute_force_ex(2, [complete(3)], seeds=[complete(5)])
 
     def test_seeds_do_not_change_answer(self):
         fam = [complete(3), complete(3)]
