@@ -34,8 +34,10 @@ first leaf that reaches it do not depend on the pruning.
 
 ``automorphisms`` returns the automorphisms the search found.  Each is an
 automorphism of G, and that is all a caller may rely on: nothing here
-proves that they generate Aut(G), though on every graph of at most six
-vertices their mask orbits are those of Aut(G) (a test checks this).
+proves that they generate Aut(G).  Tests check it on samples: on every graph
+of at most six vertices their mask orbits are those of Aut(G), and on random
+graphs of 7 to 11 vertices and named ones (Petersen, Q3, wheels, unions of
+cycles and cliques) the group they generate has the order of Aut(G).
 """
 
 from __future__ import annotations

@@ -55,9 +55,9 @@ component that v's cannot map onto fails there, before any other is searched.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .coloring import chromatic_number
 from .graphs import SimpleGraph, bits, disjoint_union
 
 
@@ -93,40 +93,11 @@ class ForbiddenFamily:
     def __getitem__(self, i: int) -> SimpleGraph:
         return self.patterns[i]
 
-    @property
-    def total_order(self) -> int:
-        """Sum of pattern orders: the least host order that can contain all."""
-        return sum(p.n for p in self.patterns)
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Member i's first vertex in ``union``, largest member first and
-        equal members side by side: the order depends only on the members,
-        so any reordering of a family searches one union with one plan set."""
-        pats = self.patterns
-        order = sorted(
-            range(len(pats)),
-            key=lambda i: (-pats[i].n, -pats[i].edge_count, pats[i].adj, i),
-        )
-        start, shift = [0] * len(pats), 0
-        for i in order:
-            start[i] = shift
-            shift += pats[i].n
-        return tuple(start)
-
     @cached_property
     def union(self) -> SimpleGraph:
-        """F_1 ∪ ... ∪ F_h, member i in the block from ``offsets[i]``: a host
+        """F_1 ∪ ... ∪ F_h, the members' blocks in family order: a host
         contains the family exactly when it contains this one graph."""
-        return disjoint_union(p for _, p in sorted(zip(self.offsets, self.patterns)))
-
-    @cached_property
-    def chromatic_numbers(self) -> tuple[int, ...]:
-        return tuple(chromatic_number(p) for p in self.patterns)
-
-    @property
-    def min_chromatic(self) -> int:
-        return min(self.chromatic_numbers)
+        return disjoint_union(self.patterns)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(p) for p in self.patterns)
@@ -236,7 +207,7 @@ def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[i
 
 def _slots(pattern: SimpleGraph, pin: int | None) -> _Plan:
     """The plan without symmetry pairs.  The slots go component by component,
-    ``pin``'s first and the others by least vertex (block order in a union),
+    ``pin``'s first and the others by least vertex (family order in a union),
     each in descending degree, then index, with ``pin`` first."""
     comp = list(range(pattern.n))  # the least vertex of v's component
     for v in range(pattern.n):
@@ -395,9 +366,8 @@ def contains_disjoint_family(host: SimpleGraph, family) -> list[tuple[int, ...]]
     """
     fam = as_family(family)
     for mapping in _iter_embeddings(host, fam.union):
-        return [
-            mapping[start:start + p.n] for start, p in zip(fam.offsets, fam.patterns)
-        ]
+        images = iter(mapping)
+        return [tuple(islice(images, p.n)) for p in fam]
     return None
 
 

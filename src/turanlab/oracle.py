@@ -46,6 +46,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .canonical import automorphisms, canonical_form, certificate
+from .coloring import chromatic_number
 from .containment import (
     ForbiddenFamily,
     as_family,
@@ -206,6 +207,17 @@ def _children(
             yield child
 
 
+def _check_order(n: int, allow_large: bool) -> None:
+    """Raise ValueError unless ``brute_force_ex`` accepts the order ``n``."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    if n > HARD_CAP and not allow_large:
+        raise ValueError(
+            f"n={n} exceeds HARD_CAP={HARD_CAP}; "
+            "pass allow_large=True (--allow-large) to force"
+        )
+
+
 def brute_force_ex(
     n: int,
     family: ForbiddenFamily | Sequence[SimpleGraph],
@@ -223,13 +235,7 @@ def brute_force_ex(
     pattern with no edges fits inside n vertices.
     """
     fam = as_family(family)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    if n > HARD_CAP and not allow_large:
-        raise ValueError(
-            f"n={n} exceeds HARD_CAP={HARD_CAP}; "
-            "pass allow_large=True (--allow-large) to force"
-        )
+    _check_order(n, allow_large)
 
     started = time.monotonic()
     best = -1
@@ -239,19 +245,19 @@ def brute_force_ex(
         if not is_free(seed, fam):
             raise ValueError("seed contains the forbidden family")
         best = max(best, seed.edge_count)
-    if fam.total_order > n:
+    if fam.union.n > n:
         # the union cannot fit at all, so the complete graph is the unique
         # extremal graph
         return ExtremalResult(n, fam, comb(n, 2), (complete(n),), True, 1)
-    r = fam.min_chromatic - 1
+    r = min(chromatic_number(p) for p in fam) - 1
     if r >= 1:
         t = turan(n, r)
         assert is_free(t, fam), "internal seed must be free"
         best = max(best, t.edge_count)
-    # K_k plus isolated vertices has k = total_order - 1 vertices of positive
+    # K_k plus isolated vertices has k = union.n - 1 vertices of positive
     # degree, too few for a copy of the union unless a pattern has an
     # isolated vertex; then it may contain one, so it is checked
-    k = fam.total_order - 1
+    k = fam.union.n - 1
     clique = disjoint_union([complete(k), SimpleGraph(n - k)])
     if is_free(clique, fam):
         best = max(best, clique.edge_count)
@@ -321,8 +327,8 @@ def labeled_filter_ex(
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     index = {p: e for e, p in enumerate(pairs)}
 
-    # every relabeling of the union is marked, so its block order is moot; a
-    # union on more than n vertices has no image, so nothing is marked
+    # every relabeling of the union is marked; a union on more than n
+    # vertices has no image, so nothing is marked
     union = fam.union
     uedges = union.edges()
     masks: set[int] = set()
@@ -481,11 +487,16 @@ def threshold_scan(
 
     ``seeds_provider`` may supply known free graphs per order to speed the
     oracle up; it must return an empty sequence where it has nothing.
-    Budget trips mark single rows unknown instead of aborting the scan.
+    Every order is checked before the first one runs, so an order that
+    ``brute_force_ex`` refuses raises before any work is done.  Budget trips
+    mark single rows unknown instead of aborting the scan.
     """
     fam = as_family(family)
+    orders = list(n_range)
+    for n in orders:
+        _check_order(n, allow_large)
     rows: list[ThresholdRow] = []
-    for n in n_range:
+    for n in orders:
         formula_value = int(formula(n))
         seeds = tuple(seeds_provider(n)) if seeds_provider is not None else ()
         try:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -279,3 +280,44 @@ class TestAutomorphisms:
                 for nb in range(1 << n)
             }
             assert mask_orbit_count(n, automorphisms(g)) == len(orbits)
+
+    def test_found_automorphisms_generate_the_full_group(self):
+        # the group the found automorphisms generate, closed by breadth-first
+        # search, has the order of Aut(G) counted by networkx
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        cap = 5040
+        rng = random.Random(29)
+        graphs = [
+            random_graph(rng, rng.randint(7, 11), rng.choice([0.2, 0.3, 0.5, 0.7]))
+            for _ in range(30)
+        ]
+        for h in (nx.petersen_graph(), nx.hypercube_graph(3)):
+            h = nx.convert_node_labels_to_integers(h)
+            graphs.append(SimpleGraph(h.number_of_nodes(), h.edges()))
+        graphs += [
+            cycle(8), cycle(9), wheel(7), wheel(9),
+            complete_multipartite([3, 3]), complete_multipartite([2, 2, 2]),
+            disjoint_union([cycle(4)] * 2), disjoint_union([complete(3)] * 3),
+            disjoint_union([wheel(5)] * 2), disjoint_union([cycle(5)] * 2),
+            complete(7), path(9), SimpleGraph(7),
+        ]
+        for g in graphs:
+            h = nx.empty_graph(g.n)
+            h.add_edges_from(g.edges())
+            isos = GraphMatcher(h, h).isomorphisms_iter()
+            count = sum(1 for _ in islice(isos, cap + 1))
+            if count > cap:
+                continue
+            gens = automorphisms(g)
+            group = {tuple(range(g.n))}
+            queue = list(group)
+            while queue:
+                sigma = queue.pop()
+                for gamma in gens:
+                    tau = tuple(gamma[x] for x in sigma)
+                    if tau not in group:
+                        group.add(tau)
+                        queue.append(tau)
+            assert len(group) == count, g

@@ -71,12 +71,16 @@ class TestForbiddenFamily:
         with pytest.raises(ValueError):
             ForbiddenFamily([SimpleGraph(0)])
 
-    def test_total_order_and_chromatic(self):
-        fam = ForbiddenFamily([wheel(7), complete(3)])
-        assert fam.total_order == 10
-        assert fam.chromatic_numbers == (3, 3)
-        assert fam.min_chromatic == 3
+    def test_union_follows_family_order(self):
+        pats = [complete(3), wheel(7)]
+        fam = ForbiddenFamily(pats)
+        assert fam.union == disjoint_union(pats)
         assert len(fam) == 2
+        # the witness is sliced back into the members' blocks in family order
+        host = disjoint_union([wheel(7), complete(3)])
+        found = contains_disjoint_family(host, fam)
+        assert [len(emb) for emb in found] == [3, 7]
+        assert all(embedding_is_valid(host, p, emb) for p, emb in zip(pats, found))
 
     def test_order_is_significant(self):
         fam = ForbiddenFamily([complete(3), complete(4)])

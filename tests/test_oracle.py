@@ -506,6 +506,21 @@ class TestThresholdScan:
         assert [row.match for row in report.rows] == [True] + [None] * 5
         assert all(row.oracle_value is None for row in report.rows[1:])
 
+    @pytest.mark.parametrize(
+        "orders, message",
+        [(range(8, 12), "HARD_CAP"), (range(-1, 3), "need n >= 0")],
+    )
+    def test_every_order_is_checked_before_the_first_runs(self, orders, message):
+        calls = []
+
+        def formula(n):
+            calls.append(n)
+            return n * n // 4
+
+        with pytest.raises(ValueError, match=message):
+            threshold_scan([complete(3)], orders, formula)
+        assert calls == []
+
     def test_text_table_shape(self):
         report = threshold_scan([complete(3)], range(3, 6), lambda n: n * n // 4)
         text = report.to_text()
