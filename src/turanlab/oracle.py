@@ -3,25 +3,31 @@
 ``brute_force_ex`` enumerates isomorphism classes of family-free graphs one
 vertex at a time.  ``best`` is the strongest known lower bound (seed
 constructions plus two internal seeds: the Turan graph on chi_min - 1 parts,
-and K_{t-1} plus isolated vertices where t is the family's total order).  A
-child is kept only when its new vertex has minimum degree in it and it has
+and K_{t-1} plus isolated vertices where t is the family's total order).
+Call the sorted degrees of a vertex's neighbours its invariant.  A child is
+kept only when its new vertex has minimum degree in it, no other
+minimum-degree vertex has a lexicographically larger invariant, and it has
 at least b_s edges on s vertices, where b_n = best and
 b_{s-1} = b_s - floor(2 b_s / s) (b stays at best while best <= 0).  The
-retained set is complete: repeatedly deleting a minimum-degree vertex takes
-any n-vertex graph G with at least best edges down a chain G_n, ..., G_1 in
-which G_s is G_{s-1} plus a vertex of minimum degree; a vertex of minimum
-degree in an s-vertex graph with e edges has degree at most floor(2e/s), and
-e - floor(2e/s) does not decrease with e for s >= 2, so G_s has at least b_s
-edges (Katona, Nemetz and Simonovits, 1964); and every G_s is free when G
-is.  So by induction level s holds a representative of the class of every
-G_s, and the top level holds every extremal class.  Freeness of a child is
-decided by a search restricted to embeddings through the new vertex, which
-is exact because the parent is already known to be free.  A neighbourhood
-mask of the new vertex that an automorphism of the parent maps to a smaller
-mask is skipped before its child is built: that child is a copy of an
-earlier one, and the first child of every class is never skipped, so every
-level, count and witness is the same as without the skip (the argument is
-at ``_children``).
+retained set is complete: repeatedly deleting a minimum-degree vertex of
+largest invariant takes any n-vertex graph G with at least best edges down
+a chain G_n, ..., G_1 in which G_s is G_{s-1} plus a vertex w of minimum
+degree whose invariant no other minimum-degree vertex of G_s exceeds.  A
+vertex of minimum degree in an s-vertex graph with e edges has degree at
+most floor(2e/s), and e - floor(2e/s) does not decrease with e for s >= 2,
+so G_s has at least b_s edges (Katona, Nemetz and Simonovits, 1964); and
+every G_s is free when G is.  So by induction level s holds a
+representative of the class of every G_s: if P represents G_{s-1}, then
+G_s is isomorphic to the child of P whose new vertex plays w, and that
+child passes every test of ``_children``, the invariant test included,
+because isomorphisms keep degrees and invariants.  The top level thus holds
+every extremal class.  Freeness of a child is decided by a search
+restricted to embeddings through the new vertex, which is exact because
+the parent is already known to be free.  A neighbourhood mask of the new
+vertex that an automorphism of the parent maps to a smaller mask is skipped
+before its child is built: that child is a copy of an earlier one, and the
+first child of every class is never skipped, so every level, count and
+witness is the same as without the skip (the argument is at ``_children``).
 
 ``labeled_filter_ex`` is a deliberately different second oracle for n <= 7:
 it holds all 2^C(n,2) labeled graphs as the bits of one Python int, indexed
@@ -160,17 +166,30 @@ def _children(
     order, where a mask is the new vertex's neighbourhood.
 
     A child is kept when the new vertex has minimum degree in it, it has at
-    least ``bound`` edges and it is free.  The degree test reads the
-    parent's degrees and the mask only, so a rejected child is never built.
+    least ``bound`` edges, no other minimum-degree vertex (a rival) has a
+    larger invariant (the sorted degrees of its neighbours in the child,
+    lists of equal length compared lexicographically) and it is free.
+    Three rules run on each mask in this order: the degree rule and the
+    edge bound, the automorphism skip below, then the invariant test.  All
+    three read the parent and the mask only, so a rejected child is never
+    built, certified or searched for the family.  The skip maps the mask
+    through a few permutations, while the invariant test sorts a list per
+    rival, so the skip runs first: on the seeded union jobs running the
+    test first was measurably slower.  The invariant test is the invariant
+    half of condition (b) of McKay's canonical augmentation (Isomorph-free
+    exhaustive generation, J. Algorithms 26, 1998): the new vertex must be
+    a minimum-degree vertex of largest invariant, and ties are left to the
+    caller's certificates.
 
     From the second admissible mask on, a mask that one of the parent's
     automorphisms (``automorphisms``) maps to a smaller mask is skipped
     before its child is built; the first is the least admissible mask, so
     no search is needed for it.  The caller, which admits the first child
     of each class, sees the same classes as without the skip: the edge
-    bound, the degree rule, freeness and the class of the child are all
-    invariant under Aut(parent), so the image mask is admissible and its
-    child is free exactly when this one is, and isomorphic to it.  Nothing
+    bound, the degree rule, the invariant test, freeness and the class of
+    the child are all invariant under Aut(parent), so the image mask is
+    admissible, passes the invariant test and has a free child exactly
+    when this one does, and its child is isomorphic to this one.  Nothing
     maps the least mask of an orbit lower, so it is never skipped, and
     masks are scanned in ascending order, so it comes first.  Each parent
     thus yields the same first labeled child of each class as a scan
@@ -179,15 +198,19 @@ def _children(
     only be automorphisms, not generate Aut(parent): a mask that none of
     them maps lower is still yielded, and the caller drops it when its
     class is known.  This is condition (a) of McKay's canonical
-    augmentation (Isomorph-free exhaustive generation, J. Algorithms 26,
-    1998).
+    augmentation.
     """
     m = parent.n
+    adj = parent.adj
     deg = parent.degrees()
     low = min(deg, default=0)
+    # at[d]: the parent vertices of degree d
+    at: dict[int, int] = {}
+    for u, d in enumerate(deg):
+        at[d] = at.get(d, 0) | 1 << u
     # the new vertex of degree k has minimum degree iff k <= low, or
     # k == low + 1 and it is adjacent to every vertex of degree low
-    low_mask = sum(1 << u for u, d in enumerate(deg) if d == low)
+    low_mask = at.get(low, 0)
     need = bound - parent.edge_count
     first = True
     auts = None  # searched at the second admissible mask
@@ -201,6 +224,20 @@ def _children(
             if auts is None:
                 auts = automorphisms(parent)
             if any(sum(1 << gamma[x] for x in bits(nb)) < nb for gamma in auts):
+                continue
+        # the rivals have degree k in the child: degree k outside the mask,
+        # or k - 1 inside it; a masked vertex gains one degree, and a masked
+        # rival gains the new vertex, of degree k, as a neighbour
+        rivals = at.get(k, 0) & ~nb | at.get(k - 1, 0) & nb
+        if rivals:
+            mine = sorted(deg[x] + 1 for x in bits(nb))
+            if any(
+                sorted(
+                    [deg[x] + (nb >> x & 1) for x in bits(adj[u])]
+                    + [k] * (nb >> u & 1)
+                ) > mine
+                for u in bits(rivals)
+            ):
                 continue
         child = _augment(parent, nb)
         if not contains_disjoint_family_through(child, fam, m):

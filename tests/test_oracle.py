@@ -182,6 +182,12 @@ class TestBruteForce:
         golden = GOLDEN / f"budget_c4_n9_cap{cap}.json"
         assert info.value.partial.to_json() == golden.read_text()
 
+    def test_c4_n9_bytes_pinned(self):
+        # the largest sparse job, recorded before the level step rejected
+        # masks by the neighbour-degree invariant
+        r = brute_force_ex(9, [cycle(4)])
+        assert r.to_json() == (GOLDEN / "brute_force_c4_n9.json").read_text()
+
     def test_budget_partial_counts_the_top_level(self):
         # 1226 of the 1753 classes are on 9 vertices: a trip among them
         # reports the best one admitted, not the K3 + E6 seed's 3 edges
@@ -235,6 +241,32 @@ class TestMinDegreeLevels:
         assert [len(certs) for certs in levels] == [1, 2, 4, 11, 34, 156, 1044]
         for n, certs in enumerate(levels, start=1):
             assert set(certs) == by_order[n]
+
+    def test_free_atlas_classes_are_reached(self):
+        # the mask rules must lose no free class: networkx's monomorphism
+        # test shares no code with them or with containment
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        atlas = nx.graph_atlas_g()[1:]
+        cases = [
+            ([cycle(4)], nx.cycle_graph(4), [1, 2, 4, 8, 18, 44, 117]),
+            (
+                [complete(3), complete(3)],
+                nx.disjoint_union(nx.complete_graph(3), nx.complete_graph(3)),
+                [1, 2, 4, 11, 34, 130, 641],
+            ),
+        ]
+        for fam, p, counts in cases:
+            free: dict[int, set[bytes]] = {n: set() for n in range(1, 8)}
+            for h in atlas:
+                if not GraphMatcher(h, p).subgraph_is_monomorphic():
+                    g = SimpleGraph(h.number_of_nodes(), h.edges())
+                    free[g.n].add(certificate(g))
+            levels = grow(fam, 7)
+            assert [len(certs) for certs in levels] == counts
+            for n, certs in enumerate(levels, start=1):
+                assert set(certs) == free[n]
 
     def test_seeded_wheel_matches_formula_above_hard_cap(self):
         for n, value in [(10, 31), (11, 37), (12, 43)]:
@@ -292,7 +324,9 @@ def test_oracle_sweep_golden():
 
 class TestOrbitSkip:
     """The level step skips a mask that an automorphism of the parent maps
-    to a smaller mask.  These gates share no code with ``canonical``."""
+    to a smaller mask, and rejects one whose new vertex has a rival of
+    larger invariant.  These gates share no code with ``canonical`` or
+    with the oracle's invariant test."""
 
     def test_skipped_children_are_copies_of_kept_ones(self, monkeypatch):
         nx = pytest.importorskip("networkx")
@@ -314,9 +348,18 @@ class TestOrbitSkip:
             c.add_edges_from((x, m) for x in range(m) if nb >> x & 1)
             return c
 
+        def passes_invariant(c, new):
+            # no other minimum-degree vertex has larger sorted neighbour
+            # degrees than the new vertex
+            deg = dict(c.degree())
+            inv = {v: sorted(deg[x] for x in c[v]) for v in c}
+            return all(
+                inv[v] <= inv[new] for v in c if deg[v] == deg[new]
+            )
+
         rng = random.Random(53)
         fam = as_family([complete(5)])
-        skipped = 0
+        skipped = rejected = 0
         for _ in range(150):
             g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
             if not is_free(g, fam):
@@ -335,8 +378,13 @@ class TestOrbitSkip:
             h = nx.Graph()
             h.add_nodes_from(range(g.n))
             h.add_edges_from(g.edges())
+            for nb in built:
+                assert passes_invariant(child(h, nb), g.n)
             for nb in admissible:
                 if nb in built:
+                    continue
+                if not passes_invariant(child(h, nb), g.n):
+                    rejected += 1
                     continue
                 skipped += 1
                 assert any(
@@ -344,6 +392,7 @@ class TestOrbitSkip:
                     for kept in built if kept < nb
                 )
         assert skipped > 200
+        assert rejected > 200
 
 
 class TestResultSerialization:
