@@ -1,8 +1,8 @@
 """Command-line surface: constructions, formulas, oracle runs, and audits.
 
 Exit codes: 0 success; 2 usage or validation error; 3 budget exhaustion
-(partial results are still written when an output path was given; scan rows
-that tripped the budget are reported as unknown and also yield exit 3).
+(partial results are still written when an output path was given; a scan's
+rows at and above the level where its one oracle run tripped are unknown).
 
 Family specs are comma-separated pattern tokens, order significant:
 ``wN`` wheel, ``kN`` complete, ``cN`` cycle, ``pN`` path, ``g6:<text>`` a
@@ -422,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     budgeted = argparse.ArgumentParser(add_help=False)
     budgeted.add_argument(
         "--budget-candidates", type=int, default=None,
-        help="abort enumeration after this many admitted graphs",
+        help="abort after this many admitted classes, one budget per whole scan",
     )
     budgeted.add_argument(
         "--budget-seconds", type=float, default=None,
-        help="abort enumeration after this wall time; checked once per admitted"
-        " class, so seed validation and each parent's mask scan run unchecked",
+        help="abort after this wall time, one budget per whole scan; checked once"
+        " per admitted class, so seed validation and mask scans run unchecked",
     )
     budgeted.add_argument(
         "--allow-large", action="store_true",

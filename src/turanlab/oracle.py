@@ -20,8 +20,13 @@ every G_s is free when G is.  So by induction level s holds a
 representative of the class of every G_s: if P represents G_{s-1}, then
 G_s is isomorphic to the child of P whose new vertex plays w, and that
 child passes every test of ``_children``, the invariant test included,
-because isomorphisms keep degrees and invariants.  The top level thus holds
-every extremal class.  Freeness of a child is decided by a search
+because isomorphisms keep degrees and invariants.  The induction step uses
+only that G_s is free with at least b_s edges, so level s holds every such
+class, and ex(s) >= b_s by the chain of a free graph with best edges.  So
+level s holds all of EX(s): ``levels`` records its largest edge count,
+ex(s), and the number of its classes with that count, |EX(s)|, and
+``threshold_scan`` reads each row of a scan off one run at its largest
+order.  Freeness of a child is decided by a search
 restricted to embeddings through the new vertex, which is exact because
 the parent is already known to be free.  A neighbourhood mask of the new
 vertex that an automorphism of the parent maps to a smaller mask is skipped
@@ -99,7 +104,8 @@ class ExtremalResult:
     when no free graph on n vertices has been seen) and ``witnesses`` is
     empty.  ``candidates`` counts isomorphism classes
     admitted by the level search, or labeled free graphs for the filter
-    oracle.
+    oracle.  ``levels`` holds (ex(s), |EX(s)|) for each level s >= 1 that
+    the level search completed; it is not serialized.
     """
 
     n: int
@@ -108,6 +114,7 @@ class ExtremalResult:
     witnesses: tuple[SimpleGraph, ...]
     exhaustive: bool
     candidates: int
+    levels: tuple[tuple[int, int], ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,8 +275,8 @@ def brute_force_ex(
     tighten the per-level pruning bound and are re-validated here (a wrong
     seed would silently corrupt the answer, so it raises instead).  Orders
     above ``HARD_CAP`` need ``allow_large=True``.  Raises ValueError when no
-    graph on n vertices avoids the family, which happens exactly when some
-    pattern with no edges fits inside n vertices.
+    graph on n vertices avoids the family, which happens exactly when the
+    union has no edges and fits inside n vertices.
     """
     fam = as_family(family)
     _check_order(n, allow_large)
@@ -309,6 +316,7 @@ def brute_force_ex(
     cap, secs = budget.max_candidates, budget.max_seconds
     candidates = 0
     current = [SimpleGraph(0)]
+    levels: tuple[tuple[int, int], ...] = ()
     for size in range(1, n + 1):
         # the one place a class is admitted: its first child, by certificate
         level: dict[bytes, SimpleGraph] = {}
@@ -327,19 +335,21 @@ def brute_force_ex(
                     over = f"time cap {secs}s exceeded"
                 else:
                     continue
-                partial = ExtremalResult(n, fam, best, (), False, candidates)
+                partial = ExtremalResult(n, fam, best, (), False, candidates, levels)
                 raise BudgetExceededError(over, partial)
+        if not level:
+            raise ValueError(
+                f"every graph on {n} vertices contains the family; ex is undefined"
+            )
         current = [level[c] for c in sorted(level)]
+        top = max(g.edge_count for g in current)
+        levels += ((top, sum(g.edge_count == top for g in current)),)
 
-    if not current:
-        raise ValueError(
-            f"every graph on {n} vertices contains the family; ex is undefined"
-        )
     witnesses = tuple(
         canonical_form(g)[1] for g in current if g.edge_count == best
     )
     assert witnesses, "a validated seed must be rediscovered at the top level"
-    return ExtremalResult(n, fam, best, witnesses, True, candidates)
+    return ExtremalResult(n, fam, best, witnesses, True, candidates, levels)
 
 
 def labeled_filter_ex(
@@ -450,8 +460,8 @@ def labeled_filter_ex(
 class ThresholdRow:
     """One scanned order: formula value vs oracle value.
 
-    ``oracle_value``/``witness_count``/``match`` are None when the budget
-    tripped at this order, leaving it unknown.
+    ``oracle_value``/``witness_count``/``match`` are None when the scan's
+    one budget tripped at or below this order, leaving it unknown.
     """
 
     n: int
@@ -522,33 +532,33 @@ def threshold_scan(
 ) -> ThresholdReport:
     """Compare a closed-form formula with the exact oracle over n_range.
 
-    ``seeds_provider`` may supply known free graphs per order to speed the
-    oracle up; it must return an empty sequence where it has nothing.
-    Every order is checked before the first one runs, so an order that
-    ``brute_force_ex`` refuses raises before any work is done.  Budget trips
-    mark single rows unknown instead of aborting the scan.
+    Every order is checked and the formula evaluated at each before any
+    oracle work.  Then ``seeds_provider`` (known free graphs, or an empty
+    sequence) is called once, at the largest order N, and ``brute_force_ex``
+    runs once at N under the one budget; the rows are read off its
+    ``levels``.  A trip at level s leaves the rows from s up unknown.
     """
     fam = as_family(family)
     orders = list(n_range)
     for n in orders:
         _check_order(n, allow_large)
-    rows: list[ThresholdRow] = []
-    for n in orders:
-        formula_value = int(formula(n))
-        seeds = tuple(seeds_provider(n)) if seeds_provider is not None else ()
+    formulas = [int(formula(n)) for n in orders]
+    levels: tuple[tuple[int, int], ...] = ()
+    if orders:
+        top = max(orders)
+        seeds = tuple(seeds_provider(top)) if seeds_provider is not None else ()
         try:
-            res = brute_force_ex(
-                n, fam, budget=budget, seeds=seeds, allow_large=allow_large
-            )
-        except BudgetExceededError:
-            rows.append(ThresholdRow(n, formula_value, None, None, None))
-            continue
-        rows.append(
-            ThresholdRow(
-                n, formula_value, res.ex_value, len(res.witnesses),
-                res.ex_value == formula_value,
-            )
-        )
+            levels = brute_force_ex(top, fam, budget, seeds, allow_large).levels
+        except BudgetExceededError as err:
+            levels = err.partial.levels
+    # exact[n]: (ex(n), |EX(n)|), and K_n alone below the union's order
+    k = fam.union.n
+    exact = [(comb(n, 2), 1) for n in range(k)] + list(levels[k - 1:])
+    rows: list[ThresholdRow] = []
+    for n, value in zip(orders, formulas):
+        ex, count = exact[n] if n < len(exact) else (None, None)
+        match = None if ex is None else ex == value
+        rows.append(ThresholdRow(n, value, ex, count, match))
     first = None
     for row in reversed(rows):
         if row.match:

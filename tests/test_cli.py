@@ -439,7 +439,8 @@ class TestScan:
         )
         assert code == 3
         rows = capsys.readouterr().out.splitlines()[1:7]
-        # K3 at order n admits n classes, so only n = 3 fits under the cap
+        # the one run at n = 8 admits one class on each of 1..3 vertices,
+        # so the cap trips at level 4 and only the row n = 3 is known
         assert rows[0].split()[-1] == "yes"
         assert all(row.split()[-1] == "unknown" for row in rows[1:])
 
@@ -615,6 +616,9 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestGolden:
     """Stdout and artifact bytes pinned against files recorded from the CLI."""
 
+    # the goldens whose command does not exit 0: a budget trip exits 3
+    EXIT_CODES = {"scan_budget": 3}
+
     @pytest.mark.parametrize(
         "name, argv",
         [
@@ -636,6 +640,15 @@ class TestGolden:
             ("criticality", ["criticality", "--family", "w7,w6,k4,c5,g6:Bw"]),
             ("stability", ["stability", "--in", str(GOLDEN / "graphs.g6"),
                            "--r", "3", "--theta", "0.25"]),
+            # recorded when each order had its own budget: the one run at
+            # n = 9 trips at level 8, as the n = 8 run did alone
+            (
+                "scan_budget",
+                [
+                    "scan", "--family", "c4", "--formula", "turan:2",
+                    "--n-from", "3", "--n-to", "9", "--budget-candidates", "300",
+                ],
+            ),
         ],
     )
     def test_outputs_are_unchanged(self, name, argv, tmp_path, capsys):
@@ -644,7 +657,7 @@ class TestGolden:
         argv = argv + ["--json", str(out_json)]
         if name == "brute_force":
             argv += ["--graph6", str(out_g6)]
-        assert main(argv) == 0
+        assert main(argv) == self.EXIT_CODES.get(name, 0)
         golden = GOLDEN / name
         stdout = capsys.readouterr().out.encode()
         assert stdout == golden.with_suffix(".out").read_bytes()

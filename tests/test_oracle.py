@@ -1,5 +1,6 @@
 """Exhaustive oracle, labeled-space cross-check, scans, and audits."""
 
+import functools
 import gc
 import json
 import os
@@ -45,13 +46,21 @@ from turanlab import (
     wheel_extremal_graph,
     wheel_extremal_value,
 )
-from turanlab.cli import parse_family
+from turanlab.cli import build_formula, build_seeds_provider, parse_family
 from turanlab.containment import as_family
 from turanlab.graph6 import json_doc
 from turanlab.oracle import _children
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@functools.cache
+def separate_run(family: str, spec: str, n: int) -> tuple[int, int]:
+    """ex(n) and |EX(n)| from a run at n alone, seeded as ``scan`` seeds it."""
+    fam = parse_family(family)
+    r = brute_force_ex(n, fam, seeds=build_seeds_provider(spec, fam)(n))
+    return r.ex_value, len(r.witnesses)
 
 
 def grow(fam, n: int) -> list[list[bytes]]:
@@ -187,6 +196,24 @@ class TestBruteForce:
         # masks by the neighbour-degree invariant
         r = brute_force_ex(9, [cycle(4)])
         assert r.to_json() == (GOLDEN / "brute_force_c4_n9.json").read_text()
+
+    @pytest.mark.parametrize("cap, completed", [(5, 3), (50, 5), (300, 7)])
+    def test_budget_partial_keeps_its_completed_levels(self, cap, completed):
+        # the pinned partials above: levels 1..completed finished, and each
+        # record is ex(s) and |EX(s)| of its own run
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force_ex(9, [cycle(4)], budget=SearchBudget(max_candidates=cap))
+        levels = info.value.partial.levels
+        assert len(levels) == completed
+        for s, record in enumerate(levels, start=1):
+            r = brute_force_ex(s, [cycle(4)])
+            assert record == (r.ex_value, len(r.witnesses)), s
+
+    def test_levels_stay_out_of_the_json(self):
+        r = brute_force_ex(8, [cycle(4)])
+        assert r.levels[-1] == (r.ex_value, len(r.witnesses)) == (11, 5)
+        assert len(r.levels) == 8
+        assert "levels" not in r.to_json_dict()
 
     def test_budget_partial_counts_the_top_level(self):
         # 1226 of the 1753 classes are on 9 vertices: a trip among them
@@ -551,7 +578,8 @@ class TestThresholdScan:
             lambda n: n * n // 4,
             budget=SearchBudget(max_candidates=3),
         )
-        # K3 at order n admits n classes, so only n = 3 fits under the cap
+        # the one run at n = 8 admits one class on each of 1..3 vertices,
+        # so the cap trips at level 4 and only the row n = 3 is known
         assert [row.match for row in report.rows] == [True] + [None] * 5
         assert all(row.oracle_value is None for row in report.rows[1:])
 
@@ -559,16 +587,87 @@ class TestThresholdScan:
         "orders, message",
         [(range(8, 12), "HARD_CAP"), (range(-1, 3), "need n >= 0")],
     )
-    def test_every_order_is_checked_before_the_first_runs(self, orders, message):
+    def test_every_order_is_checked_before_the_first_runs(
+        self, orders, message, monkeypatch
+    ):
+        import turanlab.oracle as oracle
+
         calls = []
+        run = oracle.brute_force_ex
+        monkeypatch.setattr(
+            oracle, "brute_force_ex",
+            lambda n, *args, **kw: calls.append(("run", n)) or run(n, *args, **kw),
+        )
 
         def formula(n):
-            calls.append(n)
+            calls.append(("formula", n))
             return n * n // 4
 
+        def provider(n):
+            calls.append(("provider", n))
+            return (turan(n, 2),)
+
         with pytest.raises(ValueError, match=message):
-            threshold_scan([complete(3)], orders, formula)
+            threshold_scan([complete(3)], orders, formula, seeds_provider=provider)
         assert calls == []
+        # a scan that runs evaluates every formula first, then calls the
+        # provider and the oracle once each, at the largest order
+        report = threshold_scan(
+            [complete(3)], [5, 3, 7, 4], formula, seeds_provider=provider
+        )
+        assert calls == [("formula", n) for n in (5, 3, 7, 4)] + [
+            ("provider", 7), ("run", 7)
+        ]
+        assert [r.oracle_value for r in report.rows] == [6, 2, 12, 4]
+        # a formula that raises does so before any oracle work
+        calls.clear()
+        fam = parse_family("w7")
+        wheel_formula = build_formula("wheel:3", fam)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            threshold_scan(fam, range(0, 8), wheel_formula, seeds_provider=provider)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "family, spec, first, last, cap, unknown_from",
+        [
+            ("k3", "turan:2", 0, 10, None, None),
+            ("c4", "turan:2", 1, 9, None, None),
+            ("c5", "turan:2", 1, 9, None, None),
+            ("k4", "turan:3", 0, 9, None, None),
+            ("w7", "wheel:3", 1, 10, None, None),
+            ("k3,k3", "union-turan:2", 1, 10, None, None),
+            ("k3,c5", "union-turan:2", 6, 10, None, None),
+            ("c4,c4", "union-turan:2", 5, 9, None, None),
+            ("k3", "turan:2", 3, 8, 3, 4),
+            ("c4", "turan:2", 3, 9, 50, 6),
+            ("c4", "turan:2", 3, 9, 300, 8),
+            ("c4", "turan:2", 3, 9, 1000, 9),
+            ("k3,k3", "union-turan:2", 3, 10, 200, None),
+            ("w7", "wheel:3", 7, 10, 100, None),
+        ],
+    )
+    def test_rows_equal_separate_runs(
+        self, family, spec, first, last, cap, unknown_from
+    ):
+        # the one run at the last order against one run per order, each with
+        # its own seeds; a budget trip leaves the rows from unknown_from up
+        # unknown and every row below it exact
+        fam = parse_family(family)
+        report = threshold_scan(
+            fam,
+            range(first, last + 1),
+            build_formula(spec, fam),
+            budget=SearchBudget(max_candidates=cap) if cap else None,
+            seeds_provider=build_seeds_provider(spec, fam),
+        )
+        for row in report.rows:
+            if unknown_from is not None and row.n >= unknown_from:
+                assert row.match is None and row.oracle_value is None, row.n
+                continue
+            assert (row.oracle_value, row.witness_count) == separate_run(
+                family, spec, row.n
+            ), row.n
+            assert row.match == (row.oracle_value == row.formula_value)
 
     def test_text_table_shape(self):
         report = threshold_scan([complete(3)], range(3, 6), lambda n: n * n // 4)
