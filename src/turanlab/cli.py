@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 from .coloring import criticality
@@ -376,14 +377,7 @@ def _cmd_criticality(args) -> int:
         lines.append(
             f"{token}: chi {rep.chi}, vertex-critical {vw}, edge-critical {ew}"
         )
-        records.append(
-            {
-                "token": token,
-                "chi": rep.chi,
-                "vertex_witness": rep.vertex_witness,
-                "edge_witness": list(rep.edge_witness) if rep.edge_witness else None,
-            }
-        )
+        records.append({"token": token, **asdict(rep)})
     doc = {"schema": "criticality-report/1", "patterns": records}
     return _emit(args, "\n".join(lines) + "\n", doc)
 

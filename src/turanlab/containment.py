@@ -73,34 +73,26 @@ def embedding_is_valid(
     return all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges())
 
 
-class ForbiddenFamily:
-    """An ordered list of forbidden patterns F_1, ..., F_h (h >= 1)."""
+class ForbiddenFamily(tuple):
+    """An ordered tuple of forbidden patterns F_1, ..., F_h (h >= 1): equal
+    patterns in the same order make equal families."""
 
-    def __init__(self, patterns: Sequence[SimpleGraph]):
-        pats = tuple(patterns)
+    def __new__(cls, patterns: Sequence[SimpleGraph]):
+        pats = super().__new__(cls, patterns)
         if not pats:
             raise ValueError("a forbidden family needs at least one pattern")
         if any(p.n < 1 for p in pats):
             raise ValueError("patterns must have at least one vertex")
-        self.patterns = pats
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-    def __iter__(self):
-        return iter(self.patterns)
-
-    def __getitem__(self, i: int) -> SimpleGraph:
-        return self.patterns[i]
+        return pats
 
     @cached_property
     def union(self) -> SimpleGraph:
         """F_1 ∪ ... ∪ F_h, the members' blocks in family order: a host
         contains the family exactly when it contains this one graph."""
-        return disjoint_union(self.patterns)
+        return disjoint_union(self)
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(p) for p in self.patterns)
+        inner = ", ".join(repr(p) for p in self)
         return f"ForbiddenFamily([{inner}])"
 
 
@@ -148,7 +140,8 @@ class _Plan(NamedTuple):
 
 
 def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[int]]:
-    """Yield slot-indexed host assignments, slot i drawn from ``doms[i]``.
+    """Yield host assignments indexed by pattern vertex, the image of slot
+    i's vertex ``plan.order[i]`` drawn from ``doms[i]``.
 
     Forward checking on candidate bitsets (McCreesh, Prosser and Trimble,
     "The Glasgow Subgraph Solver", ICGT 2020): placing a slot ANDs its host
@@ -158,13 +151,13 @@ def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[i
     go in ascending host order, and once u has been tried at a slot, none
     of u's twins is tried there: when ``doms`` meet the module docstring's
     condition, it yields one assignment per class up to swapping host twins,
-    and the lex-least valid assignment that meets the pairs among them.
+    and the lex-least in slot order of the valid ones that meet the pairs.
     The twin classes are built from ``adj`` at most once, when a slot first
     moves on to another candidate, so a search that succeeds on its first
     descent never builds them.  The yielded list is reused.
     """
-    p = len(plan.order)
-    fwd, above = plan.fwd, plan.above
+    order, fwd, above = plan.order, plan.fwd, plan.above
+    p = len(order)
     assign = [0] * p
     twin: Sequence[int] = ()
 
@@ -192,7 +185,7 @@ def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[i
                     if not nd[j]:
                         break
                 else:
-                    assign[i] = u
+                    assign[order[i]] = u
                     yield from extend(i + 1, nd, now)
             if cand:
                 if not twin:
@@ -263,7 +256,7 @@ def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
             for x in plain.order
         ]
         for images in _search(plain, pattern.adj, doms):
-            for x, image in zip(plain.order, images):
+            for x, image in enumerate(images):
                 root[find(x)] = find(image)
             break
     rv = find(v)
@@ -322,8 +315,7 @@ def _iter_embeddings(
     the lex-least (in slot order) of the embeddings that meet the lex-leader
     pairs.
     """
-    p = pattern.n
-    if p > host.n:
+    if pattern.n > host.n:
         return
     degrees = host.degrees()
     fit: dict[int, int] = {}
@@ -336,12 +328,8 @@ def _iter_embeddings(
             doms[0] &= 1 << through
         if not all(doms):
             continue
-        order = plan.order
-        for images in _search(plan, host.adj, doms):
-            result = [0] * p
-            for v, u in zip(order, images):
-                result[v] = u
-            yield tuple(result)
+        for mapping in _search(plan, host.adj, doms):
+            yield tuple(mapping)
 
 
 def contains_subgraph(host: SimpleGraph, pattern: SimpleGraph) -> tuple[int, ...] | None:

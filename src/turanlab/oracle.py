@@ -51,7 +51,7 @@ two oracles share no search code, so their agreement is a real cross-check.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -105,7 +105,8 @@ class ExtremalResult:
     empty.  ``candidates`` counts isomorphism classes
     admitted by the level search, or labeled free graphs for the filter
     oracle.  ``levels`` holds (ex(s), |EX(s)|) for each level s >= 1 that
-    the level search completed; it is not serialized.
+    the level search completed; it is run diagnostics, neither serialized
+    nor compared, so a result equals its ``from_json_dict`` round trip.
     """
 
     n: int
@@ -114,7 +115,7 @@ class ExtremalResult:
     witnesses: tuple[SimpleGraph, ...]
     exhaustive: bool
     candidates: int
-    levels: tuple[tuple[int, int], ...] = ()
+    levels: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,7 +18,7 @@ sits in a part minimizing its internal degree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .containment import ForbiddenFamily, as_family, contains_subgraph, is_free
@@ -273,7 +273,7 @@ class StructureAudit:
     so that ``structure-audit/1`` keeps its fields.  ``inner_free`` and
     ``expected_inner_edges`` are None when ell exceeds the family size
     (flagged by ``ell_in_range``), which the characterization rules out for
-    genuine extremal graphs.
+    genuine extremal graphs.  Its JSON is its fields plus ``schema``.
     """
 
     q: int
@@ -286,17 +286,7 @@ class StructureAudit:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "structure-audit/1",
-            "q": self.q,
-            "ell": self.ell,
-            "ell_in_range": self.ell_in_range,
-            "shape_ok": self.shape_ok,
-            "inner_free": self.inner_free,
-            "inner_edges": self.inner_edges,
-            "expected_inner_edges": self.expected_inner_edges,
-            "passed": self.passed,
-        }
+        return {"schema": "structure-audit/1", **asdict(self)}
 
     def to_json(self) -> str:
         return json_doc(self.to_json_dict())

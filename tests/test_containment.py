@@ -90,6 +90,16 @@ class TestForbiddenFamily:
             "ForbiddenFamily([SimpleGraph(n=3, e=3), SimpleGraph(n=4, e=6)])"
         )
 
+    def test_compares_by_value_in_order(self):
+        fam = ForbiddenFamily([complete(3), complete(4)])
+        same = ForbiddenFamily([complete(3), complete(4)])
+        assert fam == same and hash(fam) == hash(same)
+        assert fam != ForbiddenFamily([complete(4), complete(3)])
+        # a family is the tuple of its patterns
+        assert isinstance(fam, tuple)
+        assert fam == (complete(3), complete(4))
+        assert {fam: 1}[same] == 1
+
 
 class TestDisjointFamily:
     def test_two_triangles(self):

@@ -428,10 +428,33 @@ class TestResultSerialization:
         text = r.to_json()
         back = ExtremalResult.from_json_dict(json.loads(text))
         assert back.to_json() == text
+        # the levels are not serialized, and not compared either
+        assert back == r and hash(back) == hash(r)
         assert back.ex_value == r.ex_value
         assert back.witnesses == r.witnesses
         with pytest.raises(ValueError, match="unknown result schema"):
             ExtremalResult.from_json_dict({**r.to_json_dict(), "schema": "other/1"})
+
+    def test_budget_partial_roundtrip_is_equal(self):
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force_ex(9, [cycle(4)], budget=SearchBudget(max_candidates=50))
+        partial = info.value.partial
+        text = partial.to_json()
+        back = ExtremalResult.from_json_dict(json.loads(text))
+        assert back.to_json() == text
+        assert back == partial and partial.levels and not back.levels
+
+    def test_runs_over_equal_families_are_equal(self):
+        k3 = complete(3)
+        assert brute_force_ex(7, [k3, k3]) == brute_force_ex(
+            7, ForbiddenFamily([k3, k3])
+        )
+        a, b = parse_family("k3,k3"), parse_family("k3,k3")
+        assert a is not b
+        formula = build_formula("union-turan:2", a)
+        report_a = threshold_scan(a, range(3, 8), formula)
+        report_b = threshold_scan(b, range(3, 8), formula)
+        assert report_a == report_b
 
     def test_witnesses_encode_as_graph6(self):
         r = brute_force_ex(4, [complete(3)])
