@@ -1,8 +1,8 @@
 """Command-line surface: constructions, formulas, oracle runs, and audits.
 
 Exit codes: 0 success; 2 usage or validation error; 3 budget exhaustion
-(partial results are still written when an output path was given; a scan's
-rows at and above the level where its one oracle run tripped are unknown).
+(partial results are still written when an output path was given; a trip at
+level s leaves a scan's rows from max(s, t) up unknown, t the union's order).
 
 Family specs are comma-separated pattern tokens, order significant:
 ``wN`` wheel, ``kN`` complete, ``cN`` cycle, ``pN`` path, ``g6:<text>`` a
@@ -32,7 +32,6 @@ from .constructions import (
 )
 from .containment import ForbiddenFamily, is_free
 from .graph6 import (
-    Graph6ParseError,
     decode_graph6,
     encode_graph6,
     json_doc,
@@ -189,9 +188,7 @@ def _read_graph_input(path: str) -> list[SimpleGraph]:
     return graphs
 
 
-def _budget(args) -> SearchBudget | None:
-    if args.budget_candidates is None and args.budget_seconds is None:
-        return None
+def _budget(args) -> SearchBudget:
     return SearchBudget(args.budget_candidates, args.budget_seconds)
 
 
@@ -232,7 +229,7 @@ def _cmd_ex_formula(args) -> int:
     if kind == "wheel":
         fv = wheel_extremal_value(args.n, ints[0])
         notes = ["argmax n0: " + ", ".join(str(x) for x in fv.argmax)]
-        doc.update(value=fv.value, argmax=list(fv.argmax))
+        doc.update(asdict(fv))
     elif kind == "wheels":
         fv = union_wheels_value(args.n, ints)
         per_index = sorted({i for i, _ in fv.argmax})
@@ -246,12 +243,7 @@ def _cmd_ex_formula(args) -> int:
                 "note: entries with k < 3 have no closed-form backing: "
                 + ", ".join(str(k) for k in flagged)
             )
-        doc.update(
-            value=fv.value,
-            argmax=[list(p) for p in fv.argmax],
-            per_index_argmax=per_index,
-            flagged_ks=flagged,
-        )
+        doc.update(asdict(fv), per_index_argmax=per_index, flagged_ks=flagged)
     elif kind == "turan":
         notes = []
         doc.update(value=turan_edge_count(args.n, ints[0]), argmax=[])
@@ -524,7 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, Graph6ParseError, OSError) as err:
+    except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

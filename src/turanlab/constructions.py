@@ -34,7 +34,7 @@ graph.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .containment import ForbiddenFamily, as_family, contains_subgraph
@@ -236,10 +236,7 @@ class ConstructionRecipe:
     def to_json_dict(self) -> dict:
         return {
             "schema": "construction-recipe/1",
-            "n": self.n,
-            "k": self.k,
-            "ell": self.ell,
-            "n0": self.n0,
+            **asdict(self),
             "component_layout": [
                 {"order": c, "regular": reg} for c, reg in self.component_layout
             ],

@@ -168,9 +168,7 @@ def wheel(n: int) -> SimpleGraph:
     """The wheel W_n on n vertices: hub 0 joined to the cycle 1..n-1."""
     if n < 4:
         raise ValueError(f"wheel needs at least 4 vertices, got {n}")
-    edges = [(0, v) for v in range(1, n)]
-    edges += [(1 + i, 1 + (i + 1) % (n - 1)) for i in range(n - 1)]
-    return SimpleGraph(n, edges)
+    return join([SimpleGraph(1), cycle(n - 1)])
 
 
 def complete_multipartite(sizes: Iterable[int]) -> SimpleGraph:
@@ -178,16 +176,7 @@ def complete_multipartite(sizes: Iterable[int]) -> SimpleGraph:
     parts = list(sizes)
     if not parts or any(s < 1 for s in parts):
         raise ValueError(f"part sizes must be positive, got {parts}")
-    n = sum(parts)
-    full = (1 << n) - 1
-    rows = [0] * n
-    start = 0
-    for s in parts:
-        block = ((1 << s) - 1) << start
-        for v in range(start, start + s):
-            rows[v] = full ^ block
-        start += s
-    return SimpleGraph._from_rows(n, rows)
+    return join(SimpleGraph(s) for s in parts)
 
 
 def turan(n: int, r: int) -> SimpleGraph:

@@ -51,7 +51,7 @@ two oracles share no search code, so their agreement is a real cross-check.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -461,13 +461,14 @@ def labeled_filter_ex(
 class ThresholdRow:
     """One scanned order: formula value vs oracle value.
 
-    ``oracle_value``/``witness_count``/``match`` are None when the scan's
-    one budget tripped at or below this order, leaving it unknown.
+    ``oracle``/``witness_count``/``match`` are None when the scan's one
+    budget tripped at level s and n >= max(s, t), t the order of the
+    family's union, leaving the row unknown: below t, K_n is the answer.
     """
 
     n: int
-    formula_value: int
-    oracle_value: int | None
+    formula: int
+    oracle: int | None
     witness_count: int | None
     match: bool | None
 
@@ -489,16 +490,7 @@ class ThresholdReport:
         return {
             "schema": "threshold-report/1",
             "family": [encode_graph6(p) for p in self.family],
-            "rows": [
-                {
-                    "n": r.n,
-                    "formula": r.formula_value,
-                    "oracle": r.oracle_value,
-                    "witness_count": r.witness_count,
-                    "match": r.match,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "first_agreement": self.first_agreement,
         }
 
@@ -511,10 +503,10 @@ class ThresholdReport:
             if r.match is None:
                 oracle, wit, match = "?", "?", "unknown"
             else:
-                oracle, wit = str(r.oracle_value), str(r.witness_count)
+                oracle, wit = str(r.oracle), str(r.witness_count)
                 match = "yes" if r.match else "NO"
             lines.append(
-                f"{r.n:>4}  {r.formula_value:>8}  {oracle:>7}  {wit:>9}  {match}"
+                f"{r.n:>4}  {r.formula:>8}  {oracle:>7}  {wit:>9}  {match}"
             )
         if self.first_agreement is None:
             lines.append("no trailing agreement in the scanned range")
@@ -537,7 +529,8 @@ def threshold_scan(
     oracle work.  Then ``seeds_provider`` (known free graphs, or an empty
     sequence) is called once, at the largest order N, and ``brute_force_ex``
     runs once at N under the one budget; the rows are read off its
-    ``levels``.  A trip at level s leaves the rows from s up unknown.
+    ``levels``.  A trip at level s leaves the rows from max(s, t) up
+    unknown, t the order of the family's union: below t, K_n is the answer.
     """
     fam = as_family(family)
     orders = list(n_range)

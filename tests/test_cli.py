@@ -617,7 +617,7 @@ class TestGolden:
     """Stdout and artifact bytes pinned against files recorded from the CLI."""
 
     # the goldens whose command does not exit 0: a budget trip exits 3
-    EXIT_CODES = {"scan_budget": 3}
+    EXIT_CODES = {"scan_budget": 3, "scan_trip_low": 3}
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -647,6 +647,15 @@ class TestGolden:
                 [
                     "scan", "--family", "c4", "--formula", "turan:2",
                     "--n-from", "3", "--n-to", "9", "--budget-candidates", "300",
+                ],
+            ),
+            # the one run trips at level 3, below the union's order 6: rows
+            # 1..5 are K_n and exact, rows 6..8 unknown
+            (
+                "scan_trip_low",
+                [
+                    "scan", "--family", "k3,k3", "--formula", "union-turan:2",
+                    "--n-from", "1", "--n-to", "8", "--budget-candidates", "2",
                 ],
             ),
         ],

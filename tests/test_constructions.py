@@ -206,6 +206,8 @@ class TestRecipes:
         back = ConstructionRecipe.from_json_dict(json.loads(text))
         assert back == recipe
         assert back.to_json() == text
+        # the JSON dict holds JSON-native values only
+        assert json.loads(text) == recipe.to_json_dict()
 
     def test_recipe_rebuild_matches(self):
         recipe = wheel_construction_recipe(14, 3)

@@ -120,6 +120,11 @@ class TestBuilders:
         g = wheel(7)
         assert g.degrees() == (6, 3, 3, 3, 3, 3, 3)
         assert g.edge_count == 12
+        # the exact labelling: hub 0, rim 1..n-1 in cycle order
+        for n in range(4, 13):
+            hub = [(0, v) for v in range(1, n)]
+            rim = [(v, v % (n - 1) + 1) for v in range(1, n)]
+            assert wheel(n) == SimpleGraph(n, hub + rim), n
 
     def test_wheel_small_is_complete(self):
         assert wheel(4) == complete(4)

@@ -591,7 +591,7 @@ class TestThresholdScan:
         )
         matches = [row.match for row in report.rows]
         assert matches == [True, True, False]
-        oracle = [row.oracle_value for row in report.rows]
+        oracle = [row.oracle for row in report.rows]
         assert oracle == [17, 21, 25]
 
     def test_budget_rows_become_unknown(self):
@@ -604,7 +604,7 @@ class TestThresholdScan:
         # the one run at n = 8 admits one class on each of 1..3 vertices,
         # so the cap trips at level 4 and only the row n = 3 is known
         assert [row.match for row in report.rows] == [True] + [None] * 5
-        assert all(row.oracle_value is None for row in report.rows[1:])
+        assert all(row.oracle is None for row in report.rows[1:])
 
     @pytest.mark.parametrize(
         "orders, message",
@@ -641,7 +641,7 @@ class TestThresholdScan:
         assert calls == [("formula", n) for n in (5, 3, 7, 4)] + [
             ("provider", 7), ("run", 7)
         ]
-        assert [r.oracle_value for r in report.rows] == [6, 2, 12, 4]
+        assert [r.oracle for r in report.rows] == [6, 2, 12, 4]
         # a formula that raises does so before any oracle work
         calls.clear()
         fam = parse_family("w7")
@@ -666,6 +666,9 @@ class TestThresholdScan:
             ("c4", "turan:2", 3, 9, 300, 8),
             ("c4", "turan:2", 3, 9, 1000, 9),
             ("k3,k3", "union-turan:2", 3, 10, 200, None),
+            # a trip at level 3, below the union's order 6: K_n answers
+            # rows 1..5, so only the rows from 6 up are unknown
+            ("k3,k3", "union-turan:2", 1, 8, 2, 6),
             ("w7", "wheel:3", 7, 10, 100, None),
         ],
     )
@@ -673,8 +676,9 @@ class TestThresholdScan:
         self, family, spec, first, last, cap, unknown_from
     ):
         # the one run at the last order against one run per order, each with
-        # its own seeds; a budget trip leaves the rows from unknown_from up
-        # unknown and every row below it exact
+        # its own seeds; a budget trip at level s leaves the rows from
+        # unknown_from = max(s, t) up unknown, t the order of the family's
+        # union, and every row below it exact
         fam = parse_family(family)
         report = threshold_scan(
             fam,
@@ -685,12 +689,12 @@ class TestThresholdScan:
         )
         for row in report.rows:
             if unknown_from is not None and row.n >= unknown_from:
-                assert row.match is None and row.oracle_value is None, row.n
+                assert row.match is None and row.oracle is None, row.n
                 continue
-            assert (row.oracle_value, row.witness_count) == separate_run(
+            assert (row.oracle, row.witness_count) == separate_run(
                 family, spec, row.n
             ), row.n
-            assert row.match == (row.oracle_value == row.formula_value)
+            assert row.match == (row.oracle == row.formula)
 
     def test_text_table_shape(self):
         report = threshold_scan([complete(3)], range(3, 6), lambda n: n * n // 4)
