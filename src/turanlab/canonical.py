@@ -38,6 +38,12 @@ proves that they generate Aut(G).  Tests check it on samples: on every graph
 of at most six vertices their mask orbits are those of Aut(G), and on random
 graphs of 7 to 11 vertices and named ones (Petersen, Q3, wheels, unions of
 cycles and cliques) the group they generate has the order of Aut(G).
+
+A graph is immutable, so the first search of a graph keeps its result, in
+tuples, on the graph (``SimpleGraph._canon``), and every later
+``certificate``, ``canonical_form`` or ``automorphisms`` call on it reads
+that back.  The memo lives as long as the graph; an equal graph built
+separately, a relabeling included, has its own.
 """
 
 from __future__ import annotations
@@ -81,15 +87,18 @@ def _refine(
 
 def _canonical_order(
     g: SimpleGraph,
-) -> tuple[bytes, list[int], list[tuple[tuple[int, ...], int]]]:
+) -> tuple[bytes, tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
     """The certificate, the vertex order whose upper triangle it packs, and
-    the automorphisms found on the way, each with its moved-point mask.
+    the automorphisms found on the way, each with its moved-point mask.  The
+    first call searches and keeps the result on ``g``; later calls read it.
 
     Each leaf is compared by one int: its upper triangle read row-major, the
     first pair most significant.  Every leaf has the same width, so int
     order is the order of the packed bytes, and the least code is packed
     once: 4 bytes of n, then the code shifted to a byte boundary.
     """
+    if g._canon is not None:
+        return g._canon
     n = g.n
     adj = g.adj
     best: list = [None, None, ()]  # code, order, path
@@ -167,7 +176,8 @@ def _canonical_order(
     width = n * (n - 1) // 2
     size = -(-width // 8)
     cert = n.to_bytes(4, "big") + (best[0] << 8 * size - width).to_bytes(size, "big")
-    return cert, best[1], gens
+    g._canon = cert, tuple(best[1]), tuple(gens)
+    return g._canon
 
 
 def certificate(g: SimpleGraph) -> bytes:
@@ -190,7 +200,8 @@ def canonical_form(g: SimpleGraph) -> tuple[bytes, SimpleGraph]:
 
 
 def automorphisms(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Automorphisms of ``g`` found by the canonical search, as vertex maps."""
+    """Automorphisms of ``g`` found by the canonical search, as vertex maps;
+    after ``certificate(g)`` they are read off the memo, with no search."""
     return [gamma for gamma, _ in _canonical_order(g)[2]]
 
 

@@ -294,8 +294,12 @@ def _cmd_scan(args) -> int:
         seeds_provider=build_seeds_provider(args.formula, family),
         allow_large=args.allow_large,
     )
-    code = 3 if any(r.match is None for r in report.rows) else 0
-    return _emit(args, report.to_text(), report.to_json_dict(), code)
+    unknown = [r.n for r in report.rows if r.match is None]
+    if unknown:
+        sys.stderr.write(
+            f"budget exceeded: rows from n = {unknown[0]} up are unknown\n"
+        )
+    return _emit(args, report.to_text(), report.to_json_dict(), 3 if unknown else 0)
 
 
 def _cmd_verify(args) -> int:

@@ -4,7 +4,9 @@ Vertices are 0..n-1.  Each row of the adjacency is a Python int used as a
 bitmask, so neighborhood intersection, degree, and edge counting are single
 int operations.  Graphs are immutable: every mutator returns a new instance,
 which keeps search code (containment, oracle enumeration) free of aliasing
-bugs and makes instances safe to share across data structures.
+bugs and makes instances safe to share across data structures.  For the same
+reason a graph can keep its canonical search result (``_canon``, written by
+``canonical._canonical_order``): every builder returns a graph without one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ def bits(mask: int) -> Iterator[int]:
 class SimpleGraph:
     """An undirected simple graph with int-bitmask adjacency rows."""
 
-    __slots__ = ("n", "adj", "edge_count")
+    __slots__ = ("n", "adj", "edge_count", "_canon")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -39,6 +41,7 @@ class SimpleGraph:
         self.n = n
         self.adj = tuple(rows)
         self.edge_count = sum(r.bit_count() for r in rows) // 2
+        self._canon = None
 
     @classmethod
     def _from_rows(cls, n: int, rows: Iterable[int]) -> "SimpleGraph":
@@ -47,6 +50,7 @@ class SimpleGraph:
         g.n = n
         g.adj = tuple(rows)
         g.edge_count = sum(r.bit_count() for r in g.adj) // 2
+        g._canon = None
         return g
 
     def has_edge(self, u: int, v: int) -> bool:

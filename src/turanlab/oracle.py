@@ -78,8 +78,10 @@ class SearchBudget:
     Both caps are checked once per admitted isomorphism class, so whatever
     runs before the first check or between two checks runs unchecked: the
     validation of the seeds, the internal Turán seed's freeness check among
-    them, and the mask scan of each parent with the search for its
-    automorphisms.  At large n those alone can far outlast ``max_seconds``.
+    them, and the mask scan of each parent.  At large n those alone can far
+    outlast ``max_seconds``.  The scan reads the parent's automorphisms
+    without a search: the ``certificate`` call that admitted the parent
+    found them and kept them on the graph.
     """
 
     max_candidates: int | None = None
@@ -189,10 +191,10 @@ def _children(
     a minimum-degree vertex of largest invariant, and ties are left to the
     caller's certificates.
 
-    From the second admissible mask on, a mask that one of the parent's
-    automorphisms (``automorphisms``) maps to a smaller mask is skipped
-    before its child is built; the first is the least admissible mask, so
-    no search is needed for it.  The caller, which admits the first child
+    A mask that one of the parent's automorphisms (``automorphisms``) maps
+    to a smaller mask is skipped before its child is built.  They cost no
+    search: the ``certificate`` call that admitted the parent found them
+    and left them on the graph.  The caller, which admits the first child
     of each class, sees the same classes as without the skip: the edge
     bound, the degree rule, the invariant test, freeness and the class of
     the child are all invariant under Aut(parent), so the image mask is
@@ -220,19 +222,13 @@ def _children(
     # k == low + 1 and it is adjacent to every vertex of degree low
     low_mask = at.get(low, 0)
     need = bound - parent.edge_count
-    first = True
-    auts = None  # searched at the second admissible mask
+    auts = automorphisms(parent)
     for nb in range(1 << m):
         k = nb.bit_count()
         if k < need or k > low + 1 or (k > low and low_mask & ~nb):
             continue
-        if first:
-            first = False
-        else:
-            if auts is None:
-                auts = automorphisms(parent)
-            if any(sum(1 << gamma[x] for x in bits(nb)) < nb for gamma in auts):
-                continue
+        if any(sum(1 << gamma[x] for x in bits(nb)) < nb for gamma in auts):
+            continue
         # the rivals have degree k in the child: degree k outside the mask,
         # or k - 1 inside it; a masked vertex gains one degree, and a masked
         # rival gains the new vertex, of degree k, as a neighbour

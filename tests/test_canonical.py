@@ -17,10 +17,12 @@ from turanlab import (
     cycle,
     disjoint_union,
     is_isomorphic,
+    join,
     path,
     turan,
     wheel,
 )
+from turanlab import canonical
 from turanlab.canonical import _canonical_order, _refine, automorphisms
 
 
@@ -321,3 +323,62 @@ class TestAutomorphisms:
                         group.add(tau)
                         queue.append(tau)
             assert len(group) == count, g
+
+
+class TestMemo:
+    """The search result is kept on the graph that was searched."""
+
+    def test_later_calls_run_no_search(self, monkeypatch):
+        graphs = [wheel(7), complete_multipartite([3, 3]), cycle(9), SimpleGraph(0)]
+        certs = [certificate(g) for g in graphs]
+
+        def boom(*args):
+            raise AssertionError("searched again")
+
+        monkeypatch.setattr(canonical, "_refine", boom)
+        for g, cert in zip(graphs, certs):
+            assert certificate(g) == cert
+            assert automorphisms(g) == [gamma for gamma, _ in g._canon[2]]
+            assert canonical_form(g)[0] == cert
+        with pytest.raises(AssertionError, match="searched again"):
+            certificate(wheel(7))
+
+    def test_memo_equals_a_fresh_search(self):
+        rng = random.Random(47)
+        graphs = atlas_graphs()
+        graphs += [random_graph(rng, rng.randint(8, 13)) for _ in range(100)]
+        for g in graphs:
+            first = _canonical_order(g)
+            assert g._canon is first and _canonical_order(g) is first
+            _, order, auts = first
+            assert isinstance(order, tuple) and isinstance(auts, tuple)
+            fresh = SimpleGraph(g.n, g.edges())
+            assert fresh._canon is None
+            assert _canonical_order(fresh) == first
+
+    def test_memo_leaves_equality_and_hash_alone(self):
+        g = wheel(9)
+        certificate(g)
+        fresh = wheel(9)
+        assert fresh._canon is None
+        assert g == fresh and hash(g) == hash(fresh)
+        assert len({g, fresh}) == 1
+
+    def test_builders_return_graphs_without_a_memo(self):
+        g = wheel(7)
+        certificate(g)
+        built = [
+            g.relabel(range(g.n)),
+            g.induced(range(g.n)),
+            g.with_edge(1, 3),
+            g.without_edge(0, 1),
+            g.without_vertex(6),
+            disjoint_union([g]),
+            join([g]),
+        ]
+        for h in built:
+            assert h._canon is None
+        same = g.relabel(range(g.n))
+        assert same == g
+        assert _canonical_order(same) == g._canon
+        assert same._canon is not g._canon

@@ -668,8 +668,13 @@ class TestGolden:
             argv += ["--graph6", str(out_g6)]
         assert main(argv) == self.EXIT_CODES.get(name, 0)
         golden = GOLDEN / name
-        stdout = capsys.readouterr().out.encode()
-        assert stdout == golden.with_suffix(".out").read_bytes()
+        captured = capsys.readouterr()
+        assert captured.out.encode() == golden.with_suffix(".out").read_bytes()
+        # a budget trip says so on stderr; nothing else writes there
+        if name in self.EXIT_CODES:
+            assert captured.err.startswith("budget exceeded:")
+        else:
+            assert captured.err == ""
         assert out_json.read_bytes() == golden.with_suffix(".json").read_bytes()
         if name == "brute_force":
             assert out_g6.read_bytes() == golden.with_suffix(".g6").read_bytes()
