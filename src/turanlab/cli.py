@@ -144,7 +144,10 @@ def build_seeds_provider(
     ``turan`` and ``wheel``, |family| for ``union-turan``, |ks| for
     ``wheels``.  Seeding only sharpens the oracle's pruning bound, so a
     layer that is not buildable or not family-free is silently dropped.
-    The spec itself is validated once, here.
+    The spec's grammar is checked here, by ``_parse_formula_spec``; its
+    values are not: ``wheel:2`` and ``wheels:3,4`` pass, and their checks
+    run in ``wheel_extremal_value`` and ``union_wheels_value``, which
+    ``scan`` evaluates at every order before it calls the provider.
     """
     kind, ints = _parse_formula_spec(spec)
     if kind in ("turan", "union-turan"):

@@ -83,7 +83,6 @@ def is_k_colorable(g: SimpleGraph, k: int) -> bool:
                 color[i] = c
                 if assign(i + 1, max(opened, c + 1)):
                     return True
-        color[i] = -1
         return False
 
     try:

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .containment import ForbiddenFamily, as_family, contains_subgraph
-from .graph6 import json_doc
+from .graph6 import Artifact
 from .graphs import SimpleGraph, complete, disjoint_union, join, path
 
 
@@ -200,7 +200,7 @@ def is_path_free_regular(g: SimpleGraph, k: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ConstructionRecipe:
+class ConstructionRecipe(Artifact):
     """A serializable plan for one extremal construction.
 
     ``ell`` is the size of the dominating clique plus one (ell = 1 means no
@@ -244,18 +244,18 @@ class ConstructionRecipe:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConstructionRecipe":
-        """Read a recipe, rejecting infeasible parameters and any layout other
-        than the one derived from n0 and k."""
+        """Read a recipe, rejecting a missing key, infeasible parameters and
+        any layout other than the one derived from n0 and k."""
         if data.get("schema") != "construction-recipe/1":
             raise ValueError(f"unknown recipe schema: {data.get('schema')!r}")
-        recipe = cls(data["n"], data["k"], data["ell"], data["n0"])
-        layout = tuple((e["order"], e["regular"]) for e in data["component_layout"])
+        try:
+            recipe = cls(data["n"], data["k"], data["ell"], data["n0"])
+            layout = tuple((e["order"], e["regular"]) for e in data["component_layout"])
+        except KeyError as err:
+            raise ValueError(f"recipe document lacks the key {err}") from None
         if layout != recipe.component_layout:
             raise ValueError(f"component_layout {layout} is not the derived one")
         return recipe
-
-    def to_json(self) -> str:
-        return json_doc(self.to_json_dict())
 
 
 def _best_n0(m: int, k: int) -> int | None:
@@ -305,16 +305,14 @@ def wheel_construction_recipe(
 
 
 def build_from_recipe(recipe: ConstructionRecipe) -> SimpleGraph:
-    """Realize a recipe: K_{ell-1} joined to (K_{n0, m-n0} + layer + edge).
+    """Realize a recipe as one join of K_{ell-1}, the layer and the far side.
 
-    Vertex layout: clique first, then the layer side, then the far side;
-    the far side's single edge joins its two lowest-indexed vertices.
+    Vertex layout: clique first, then the layer's n0 vertices, then the far
+    side, whose single edge joins its two lowest-indexed vertices.
     """
-    n0 = recipe.n0
-    far = recipe.n - recipe.ell + 1 - n0
-    inner = join([_path_free_layer(n0, recipe.k), SimpleGraph(far)])
-    inner = inner.with_edge(n0, n0 + 1)
-    return union_extremal_graph(recipe.n, recipe.ell, inner)
+    far = recipe.n - recipe.ell + 1 - recipe.n0
+    layer = _path_free_layer(recipe.n0, recipe.k)
+    return join([complete(recipe.ell - 1), layer, SimpleGraph(far, [(0, 1)])])
 
 
 def wheel_extremal_graph(n: int, k: int) -> SimpleGraph:

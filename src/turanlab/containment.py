@@ -230,26 +230,19 @@ def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
     """The orbit of ``v``, as a mask, under the automorphisms of ``pattern``
     that fix every vertex of the mask ``fixed``.
 
-    Each candidate image w of ``v`` not yet joined to it gets one pinned
-    self-embedding search; the cycles of every automorphism found are joined
-    by union-find.  Candidates go from the highest vertex down, so on K_p the
+    Each candidate image w of ``v`` outside its orbit mask gets one pinned
+    self-embedding search; the cycles of every automorphism found merge the
+    orbit masks.  Candidates go from the highest vertex down, so on K_p the
     first search finds a p-cycle.  Aut(F) itself is never enumerated.
     """
     p = pattern.n
-    root = list(range(p))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
+    orbit = [1 << x for x in range(p)]
     deg = pattern.degrees()
     same = [
         sum(1 << w for w in range(p) if deg[w] == deg[x]) & ~fixed for x in range(p)
     ]
     for w in range(p - 1, -1, -1):
-        if fixed >> w & 1 or deg[w] != deg[v] or find(w) == find(v):
+        if fixed >> w & 1 or deg[w] != deg[v] or orbit[v] >> w & 1:
             continue
         doms = [
             1 << x if fixed >> x & 1 else 1 << w if x == v else same[x]
@@ -257,10 +250,12 @@ def _orbit(pattern: SimpleGraph, plain: _Plan, fixed: int, v: int) -> int:
         ]
         for images in _search(plain, pattern.adj, doms):
             for x, image in enumerate(images):
-                root[find(x)] = find(image)
+                if not orbit[x] >> image & 1:
+                    merged = orbit[x] | orbit[image]
+                    for u in bits(merged):
+                        orbit[u] = merged
             break
-    rv = find(v)
-    return sum(1 << x for x in range(p) if find(x) == rv)
+    return orbit[v]
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

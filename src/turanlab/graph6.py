@@ -9,7 +9,8 @@ trailing data, and nonzero padding bits are all parse errors that report the
 byte offset of the problem.
 
 JSON artifacts name their graphs by graph6 token and are written by
-``json_doc`` alone, so equal documents re-emit byte for byte.
+``json_doc`` alone, through the one ``to_json`` every report inherits from
+``Artifact``, so equal documents re-emit byte for byte.
 """
 
 from __future__ import annotations
@@ -120,6 +121,14 @@ def json_doc(data: dict) -> str:
     """The one JSON layout of every artifact: sorted keys, two-space indent,
     trailing newline."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+class Artifact:
+    """A report written as a JSON artifact: the subclass gives
+    ``to_json_dict``, and ``to_json`` is its ``json_doc``."""
+
+    def to_json(self) -> str:
+        return json_doc(self.to_json_dict())
 
 
 def write_graph6_lines(graphs) -> str:

@@ -64,7 +64,7 @@ from .containment import (
     contains_disjoint_family_through,
     is_free,
 )
-from .graph6 import decode_graph6, encode_graph6, json_doc
+from .graph6 import Artifact, decode_graph6, encode_graph6
 from .graphs import SimpleGraph, bits, complete, disjoint_union, turan
 
 # the largest order brute_force_ex accepts without allow_large=True
@@ -95,7 +95,7 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(Artifact):
     """Outcome of an extremal computation.
 
     ``witnesses`` lists the extremal graphs up to isomorphism, sorted by
@@ -131,21 +131,29 @@ class ExtremalResult:
             "candidates": self.candidates,
         }
 
-    def to_json(self) -> str:
-        return json_doc(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExtremalResult":
+        """Read a result, rejecting a missing key, a ``witness_count`` other
+        than the number of witnesses, and a witness whose order is not n."""
         if data.get("schema") != "extremal-result/1":
             raise ValueError(f"unknown result schema: {data.get('schema')!r}")
-        return cls(
-            n=data["n"],
-            family=ForbiddenFamily([decode_graph6(s) for s in data["family"]]),
-            ex_value=data["ex_value"],
-            witnesses=tuple(decode_graph6(s) for s in data["witnesses"]),
-            exhaustive=data["exhaustive"],
-            candidates=data["candidates"],
-        )
+        try:
+            result = cls(
+                n=data["n"],
+                family=ForbiddenFamily([decode_graph6(s) for s in data["family"]]),
+                ex_value=data["ex_value"],
+                witnesses=tuple(decode_graph6(s) for s in data["witnesses"]),
+                exhaustive=data["exhaustive"],
+                candidates=data["candidates"],
+            )
+            count = data["witness_count"]
+        except KeyError as err:
+            raise ValueError(f"result document lacks the key {err}") from None
+        if count != len(result.witnesses):
+            raise ValueError(f"witness_count {count} != {len(result.witnesses)} witnesses")
+        if any(w.n != result.n for w in result.witnesses):
+            raise ValueError(f"a witness's order is not n = {result.n}")
+        return result
 
 
 class BudgetExceededError(RuntimeError):
@@ -470,7 +478,7 @@ class ThresholdRow:
 
 
 @dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(Artifact):
     """Formula-vs-oracle comparison across a range of orders.
 
     ``first_agreement`` is the order starting the maximal trailing run of
@@ -489,9 +497,6 @@ class ThresholdReport:
             "rows": [asdict(r) for r in self.rows],
             "first_agreement": self.first_agreement,
         }
-
-    def to_json(self) -> str:
-        return json_doc(self.to_json_dict())
 
     def to_text(self) -> str:
         lines = [f"{'n':>4}  {'formula':>8}  {'oracle':>7}  {'witnesses':>9}  match"]

@@ -22,12 +22,12 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .containment import ForbiddenFamily, as_family, contains_subgraph, is_free
-from .graph6 import json_doc
+from .graph6 import Artifact
 from .graphs import SimpleGraph
 
 
 @dataclass(frozen=True)
-class PartitionDiagnostics:
+class PartitionDiagnostics(Artifact):
     """An r-partition with its internal-edge count and degree-threshold set.
 
     ``w_set`` holds the vertices whose internal degree (neighbors inside
@@ -49,9 +49,6 @@ class PartitionDiagnostics:
             "w_set": list(self.w_set),
             "mode": self.mode,
         }
-
-    def to_json(self) -> str:
-        return json_doc(self.to_json_dict())
 
 
 def _part_masks(g: SimpleGraph, parts: Sequence[Sequence[int]]) -> list[int]:
@@ -264,7 +261,7 @@ def dominating_clique(g: SimpleGraph) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class StructureAudit:
+class StructureAudit(Artifact):
     """Clique-join decomposition report for a family-free graph.
 
     q universal vertices give ell = q + 1.  The graph always equals the join
@@ -287,9 +284,6 @@ class StructureAudit:
 
     def to_json_dict(self) -> dict:
         return {"schema": "structure-audit/1", **asdict(self)}
-
-    def to_json(self) -> str:
-        return json_doc(self.to_json_dict())
 
 
 def structure_audit(

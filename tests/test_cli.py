@@ -658,6 +658,8 @@ class TestGolden:
                     "--n-from", "1", "--n-to", "8", "--budget-candidates", "2",
                 ],
             ),
+            # a clique-topped recipe: K_1 joined to the order-20 construction
+            ("gen_ell2", ["gen", "--n", "21", "--k", "3", "--ell", "2"]),
         ],
     )
     def test_outputs_are_unchanged(self, name, argv, tmp_path, capsys):

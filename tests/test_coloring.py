@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import random_graph
+from turanlab import coloring
 from turanlab import (
     SimpleGraph,
     chromatic_number,
@@ -64,6 +65,31 @@ class TestChromaticNumber:
             chi = chromatic_number(g)
             assert is_k_colorable(g, chi)
             assert chi == 1 or not is_k_colorable(g, chi - 1)
+
+    @pytest.mark.parametrize(
+        "g, chi, searches",
+        [
+            (complete(512), 512, 0),
+            (turan(60, 3), 3, 0),
+            (turan(512, 3), 3, 0),
+            (wheel(7), 3, 0),
+            (cycle(6), 2, 0),
+            (cycle(5), 3, 1),
+            (wheel(6), 4, 1),
+        ],
+    )
+    def test_no_search_when_the_bounds_meet(self, g, chi, searches, monkeypatch):
+        # the clique bound meets the colouring bound on cliques, Turán graphs,
+        # odd wheels and even cycles: no backtracking search runs at all
+        calls = []
+
+        def counting(graph, k):
+            calls.append(k)
+            return is_k_colorable(graph, k)
+
+        monkeypatch.setattr(coloring, "is_k_colorable", counting)
+        assert chromatic_number(g) == chi
+        assert len(calls) == searches
 
 
 def reference_chromatic_number(g: SimpleGraph) -> int:

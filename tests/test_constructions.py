@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,8 @@ from turanlab import (
     wheel_extremal_value,
 )
 from turanlab.constructions import _component_orders
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def union_wheels_reference(n: int, ks: list[int]) -> tuple[int, tuple]:
@@ -227,6 +230,17 @@ class TestRecipes:
                 ConstructionRecipe.from_json_dict({**doc, "component_layout": layout})
         with pytest.raises(ValueError, match="unknown recipe schema"):
             ConstructionRecipe.from_json_dict({**doc, "schema": "recipe/2"})
+
+    def test_tampered_documents_are_rejected(self):
+        doc = json.loads((GOLDEN / "gen.json").read_text())
+        assert ConstructionRecipe.from_json_dict(doc).to_json_dict() == doc
+        for key in sorted(doc.keys() - {"schema"}):
+            lacking = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(ValueError, match=key):
+                ConstructionRecipe.from_json_dict(lacking)
+        layout = [{"order": 4}] + doc["component_layout"][1:]
+        with pytest.raises(ValueError, match="regular"):
+            ConstructionRecipe.from_json_dict({**doc, "component_layout": layout})
 
     def test_every_recipe_builds_and_reads_back(self):
         # a recipe validates itself: either construction raises at once, or

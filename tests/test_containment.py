@@ -416,6 +416,21 @@ class TestOneEmbeddingPerCopy:
         assert info.currsize <= PLAN_CACHE_SIZE
 
 
+class TestPinnedSlots:
+    def test_pins_component_then_family_order(self):
+        # a pinned plan maps the pin's whole component first, then the other
+        # members' blocks in family order, so an image of the pin that its
+        # component cannot map onto fails before any other member is searched
+        k3, c5, w5, w7 = complete(3), cycle(5), wheel(5), wheel(7)
+        for members in ([k3, c5], [c5, k3], [w7, w5], [w5, k3, c5]):
+            fam = ForbiddenFamily(members)
+            block = [i for i, p in enumerate(fam) for _ in range(p.n)]
+            for plan in _plans(fam.union, True):
+                home = block[plan.order[0]]
+                expect = sorted(block, key=lambda b: (b != home, b))
+                assert [block[v] for v in plan.order] == expect, (members, plan)
+
+
 class TestStabilizerChain:
     """Each plan's lex-leader pairs are the orbits of its stabilizer chain,
     checked against networkx automorphisms on twin-rich patterns: the

@@ -435,6 +435,19 @@ class TestResultSerialization:
         with pytest.raises(ValueError, match="unknown result schema"):
             ExtremalResult.from_json_dict({**r.to_json_dict(), "schema": "other/1"})
 
+    def test_tampered_documents_are_rejected(self):
+        doc = json.loads((GOLDEN / "brute_force.json").read_text())
+        assert ExtremalResult.from_json_dict(doc).to_json_dict() == doc
+        for key in sorted(doc.keys() - {"schema"}):
+            lacking = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(ValueError, match=key):
+                ExtremalResult.from_json_dict(lacking)
+        with pytest.raises(ValueError, match="witness_count"):
+            ExtremalResult.from_json_dict({**doc, "witness_count": 2})
+        # a one-vertex witness in a result at n = 3
+        with pytest.raises(ValueError, match="order"):
+            ExtremalResult.from_json_dict({**doc, "n": 3, "witnesses": ["@"]})
+
     def test_budget_partial_roundtrip_is_equal(self):
         with pytest.raises(BudgetExceededError) as info:
             brute_force_ex(9, [cycle(4)], budget=SearchBudget(max_candidates=50))
