@@ -32,12 +32,27 @@ graph isomorphism II, J. Symb. Comput. 60, 2014).  Every pruned leaf is the
 image of an earlier leaf with the same encoding, so the certificate and the
 first leaf that reaches it do not depend on the pruning.
 
-``automorphisms`` returns the automorphisms the search found.  Each is an
-automorphism of G, and that is all a caller may rely on: nothing here
-proves that they generate Aut(G).  Tests check it on samples: on every graph
-of at most six vertices their mask orbits are those of Aut(G), and on random
-graphs of 7 to 11 vertices and named ones (Petersen, Q3, wheels, unions of
-cycles and cliques) the group they generate has the order of Aut(G).
+Twins, two vertices with the same open or the same closed neighbourhood
+(``graphs.twin_classes``), give automorphisms before any leaf is reached:
+the search seeds ``gens`` with the transposition of each vertex and its
+next-lower twin, and each node's orbit masks start from the twin classes
+within its target cell.  This pruning is exact too.  A target cell is not
+a singleton, so none of its vertices is on the path, and swapping two twins
+in it fixes the path pointwise: a sibling skipped as the twin of an
+explored one roots the image of that one's subtree, whose leaves come
+earlier with the same encodings.  So the first leaf that reaches the least
+code is never skipped, and every certificate and leaf order is what the
+search without the seeds finds; only fewer leaves are visited (one, not n,
+on K_n or E_n).
+
+``automorphisms`` returns the seeded twin transpositions and the
+automorphisms the search found at leaves.  Each is an automorphism of G,
+and that is all a caller may rely on: nothing here proves that they
+generate Aut(G).  Tests check it on samples: on every graph of at most six
+vertices their mask orbits are those of Aut(G), and on random graphs of 7
+to 11 vertices, random forests and named ones (Petersen, Q3, wheels, stars,
+complete bipartite graphs, unions of cycles and cliques) the group they
+generate has the order of Aut(G).
 
 A graph is immutable, so the first search of a graph keeps its result, in
 tuples, on the graph (``SimpleGraph._canon``), and every later
@@ -48,7 +63,7 @@ separately, a relabeling included, has its own.
 
 from __future__ import annotations
 
-from .graphs import SimpleGraph, bits
+from .graphs import SimpleGraph, bits, twin_classes
 
 
 def _refine(
@@ -103,6 +118,18 @@ def _canonical_order(
     adj = g.adj
     best: list = [None, None, ()]  # code, order, path
     gens: list[tuple[tuple[int, ...], int]] = []  # automorphism, moved points
+    # known before any leaf: each vertex swapped with its next-lower twin.
+    # Twins in a target cell are off the path, so their swap fixes it, and
+    # each node's orbit masks start from the twin classes
+    twin = twin_classes(adj)
+    for v in range(n):
+        lower = twin[v] & (1 << v) - 1
+        if lower:
+            u = lower.bit_length() - 1
+            gamma = list(range(n))
+            gamma[u], gamma[v] = v, u
+            gens.append((tuple(gamma), 1 << u | 1 << v))
+    seeded = len(gens)
 
     def search(
         cells: list[tuple[int, ...]], splitters: list[int], path: tuple[int, ...]
@@ -142,9 +169,9 @@ def _canonical_order(
         target = cells[target_index]
         tmask = sum(1 << v for v in target)
         pathmask = sum(1 << v for v in path)
-        orbit = {v: 1 << v for v in target}
+        orbit = {v: twin[v] & tmask for v in target}
         explored = 0
-        looked = 0
+        looked = seeded
         for v in target:
             for gamma, moved in gens[looked:]:
                 if not moved & pathmask:
@@ -200,8 +227,13 @@ def canonical_form(g: SimpleGraph) -> tuple[bytes, SimpleGraph]:
 
 
 def automorphisms(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Automorphisms of ``g`` found by the canonical search, as vertex maps;
-    after ``certificate(g)`` they are read off the memo, with no search."""
+    """Automorphisms of ``g`` known to the canonical search, as vertex maps:
+    the transposition of each vertex and its next-lower twin, then those
+    found at leaves.  The search prunes by the transpositions, which is exact:
+    two twins in a target cell are off the path, so their swap fixes it and
+    maps each skipped subtree onto an explored one, and no certificate or
+    leaf order depends on it.  After ``certificate(g)`` they are read off the
+    memo, with no search."""
     return [gamma for gamma, _ in _canonical_order(g)[2]]
 
 

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .containment import ForbiddenFamily, as_family, contains_subgraph
-from .graph6 import Artifact
+from .graph6 import Artifact, json_field
 from .graphs import SimpleGraph, complete, disjoint_union, join, path
 
 
@@ -244,15 +244,19 @@ class ConstructionRecipe(Artifact):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConstructionRecipe":
-        """Read a recipe, rejecting a missing key, infeasible parameters and
-        any layout other than the one derived from n0 and k."""
+        """Read a recipe, rejecting a missing key, a value of the wrong type,
+        infeasible parameters and any layout other than the one derived from
+        n0 and k."""
         if data.get("schema") != "construction-recipe/1":
             raise ValueError(f"unknown recipe schema: {data.get('schema')!r}")
-        try:
-            recipe = cls(data["n"], data["k"], data["ell"], data["n0"])
-            layout = tuple((e["order"], e["regular"]) for e in data["component_layout"])
-        except KeyError as err:
-            raise ValueError(f"recipe document lacks the key {err}") from None
+        what = "recipe document"
+        recipe = cls(*(json_field(data, k, int, what) for k in ("n", "k", "ell", "n0")))
+        entries = json_field(data, "component_layout", list, what, dict)
+        what = "component_layout entry"
+        layout = tuple(
+            (json_field(e, "order", int, what), json_field(e, "regular", bool, what))
+            for e in entries
+        )
         if layout != recipe.component_layout:
             raise ValueError(f"component_layout {layout} is not the derived one")
         return recipe

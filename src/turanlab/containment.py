@@ -23,7 +23,8 @@ copies and a system is found once, not once per permutation of equal members.
 Host twins are branched on once.  Two host vertices are twins when they
 share an open neighbourhood (false twins: the far side of K_{n0,n-n0}) or a
 closed one (true twins: the vertices of a clique), and swapping two twins
-is an automorphism of the host.  Once a slot has tried a vertex it tries
+is an automorphism of the host (``graphs.twin_classes``, whose classes also
+seed the canonical search's orbits).  Once a slot has tried a vertex it tries
 none of that vertex's twins: target-side symmetry breaking (Zampelli,
 Deville and Dupont, "Symmetry breaking in subgraph pattern matching",
 SymCon 2006) on top of the pattern-side lex-leader pairs (Crawford,
@@ -58,7 +59,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph, bits, disjoint_union
+from .graphs import SimpleGraph, bits, disjoint_union, twin_classes
 
 
 def embedding_is_valid(
@@ -105,23 +106,6 @@ def as_family(family) -> ForbiddenFamily:
 
 
 PLAN_CACHE_SIZE = 256  # searches' plans kept; a miss only recompiles one
-
-
-def _twins(adj: Sequence[int]) -> list[int]:
-    """The mask of each vertex's twin class, from the adjacency rows.
-
-    Open and closed rows share one dict: N(x) = N[y] would put y in N(x)
-    but x outside N[y].  No vertex has both a false twin w and a true twin
-    x (x would be adjacent to w but not in N[w] = N[x]), so the union of
-    its two masks is its class.
-    """
-    cls: dict[int, int] = {}
-    get = cls.get
-    for u, row in enumerate(adj):
-        cls[row] = get(row, 0) | 1 << u
-        row |= 1 << u
-        cls[row] = get(row, 0) | 1 << u
-    return [cls[row] | cls[row | 1 << u] for u, row in enumerate(adj)]
 
 
 class _Plan(NamedTuple):
@@ -189,7 +173,7 @@ def _search(plan: _Plan, adj: Sequence[int], doms: list[int]) -> Iterator[list[i
                     yield from extend(i + 1, nd, now)
             if cand:
                 if not twin:
-                    twin = _twins(adj)
+                    twin = twin_classes(adj)
                 cand &= ~twin[u]
 
     try:

@@ -123,6 +123,19 @@ def json_doc(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def json_field(doc: dict, key: str, kind: type, what: str, item: type | None = None):
+    """``doc[key]``, checked to be of type ``kind`` (exactly, so a bool is no
+    int) and, given ``item``, to hold only items of that type; else a
+    ValueError naming the key, ``what`` naming the document."""
+    if key not in doc:
+        raise ValueError(f"{what} lacks the key {key!r}")
+    value = doc[key]
+    if type(value) is not kind or item and any(type(x) is not item for x in value):
+        want = kind.__name__ + (f" of {item.__name__}" if item else "")
+        raise ValueError(f"{what} field {key!r} is not of type {want}")
+    return value
+
+
 class Artifact:
     """A report written as a JSON artifact: the subclass gives
     ``to_json_dict``, and ``to_json`` is its ``json_doc``."""

@@ -11,7 +11,7 @@ reason a graph can keep its canonical search result (``_canon``, written by
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -20,6 +20,25 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def twin_classes(adj: Sequence[int]) -> list[int]:
+    """The mask of each vertex's twin class, from the adjacency rows.
+
+    Two vertices are twins when they share an open neighbourhood (false
+    twins) or a closed one (true twins); swapping two twins is an
+    automorphism.  Open and closed rows share one dict: N(x) = N[y] would
+    put y in N(x) but x outside N[y].  No vertex has both a false twin w and
+    a true twin x (x would be adjacent to w but not in N[w] = N[x]), so the
+    union of its two masks is its class.
+    """
+    cls: dict[int, int] = {}
+    get = cls.get
+    for u, row in enumerate(adj):
+        cls[row] = get(row, 0) | 1 << u
+        row |= 1 << u
+        cls[row] = get(row, 0) | 1 << u
+    return [cls[row] | cls[row | 1 << u] for u, row in enumerate(adj)]
 
 
 class SimpleGraph:

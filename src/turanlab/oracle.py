@@ -64,7 +64,7 @@ from .containment import (
     contains_disjoint_family_through,
     is_free,
 )
-from .graph6 import Artifact, decode_graph6, encode_graph6
+from .graph6 import Artifact, decode_graph6, encode_graph6, json_field
 from .graphs import SimpleGraph, bits, complete, disjoint_union, turan
 
 # the largest order brute_force_ex accepts without allow_large=True
@@ -133,22 +133,25 @@ class ExtremalResult(Artifact):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExtremalResult":
-        """Read a result, rejecting a missing key, a ``witness_count`` other
-        than the number of witnesses, and a witness whose order is not n."""
+        """Read a result, rejecting a missing key, a value of the wrong type,
+        a ``witness_count`` other than the number of witnesses, and a witness
+        whose order is not n."""
         if data.get("schema") != "extremal-result/1":
             raise ValueError(f"unknown result schema: {data.get('schema')!r}")
-        try:
-            result = cls(
-                n=data["n"],
-                family=ForbiddenFamily([decode_graph6(s) for s in data["family"]]),
-                ex_value=data["ex_value"],
-                witnesses=tuple(decode_graph6(s) for s in data["witnesses"]),
-                exhaustive=data["exhaustive"],
-                candidates=data["candidates"],
-            )
-            count = data["witness_count"]
-        except KeyError as err:
-            raise ValueError(f"result document lacks the key {err}") from None
+        what = "result document"
+        result = cls(
+            n=json_field(data, "n", int, what),
+            family=ForbiddenFamily(
+                [decode_graph6(s) for s in json_field(data, "family", list, what, str)]
+            ),
+            ex_value=json_field(data, "ex_value", int, what),
+            witnesses=tuple(
+                decode_graph6(s) for s in json_field(data, "witnesses", list, what, str)
+            ),
+            exhaustive=json_field(data, "exhaustive", bool, what),
+            candidates=json_field(data, "candidates", int, what),
+        )
+        count = json_field(data, "witness_count", int, what)
         if count != len(result.witnesses):
             raise ValueError(f"witness_count {count} != {len(result.witnesses)} witnesses")
         if any(w.n != result.n for w in result.witnesses):

@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from helpers import random_graph
+from helpers import random_forest, random_graph
 from turanlab import (
     SimpleGraph,
     brute_force_ex,
@@ -94,6 +94,35 @@ class TestCertificate:
         orders = bytes(v for g in graphs for v in _canonical_order(g)[1])
         assert hashlib.sha256(orders).hexdigest() == (
             "f1c5a19f1c1f1a02555351898e69776d10410be39c2997e78518d8956b0a1009"
+        )
+
+    def test_twin_rich_orders_pinned(self):
+        # computed at commit 47fda69, before the search was seeded with twin
+        # transpositions: forests, stars, complete bipartite graphs and joins
+        # with empty graphs, each also randomly relabeled, are full of twins,
+        # and the seeded pruning must not move a certificate or a leaf order
+        rng = random.Random(59)
+        graphs = [random_forest(rng, rng.randint(6, 16)) for _ in range(200)]
+        graphs += [complete_multipartite([1, s]) for s in range(1, 13)]
+        graphs += [
+            complete_multipartite([a, b]) for a in range(1, 7) for b in range(a, 9)
+        ]
+        graphs += [
+            join([g, SimpleGraph(e)])
+            for g in (complete(3), cycle(5), path(4), wheel(5))
+            for e in range(1, 6)
+        ]
+        for g in list(graphs):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(g.relabel(perm))
+        digest = hashlib.sha256(b"".join(certificate(g) for g in graphs))
+        assert digest.hexdigest() == (
+            "13f96834a30270f222d6af26e12590e977b8d150237520db5939061ea5a8f31e"
+        )
+        orders = bytes(v for g in graphs for v in _canonical_order(g)[1])
+        assert hashlib.sha256(orders).hexdigest() == (
+            "47bd52d6d647b69612c36fe9f170b17042c46828b503a5574265bfeb1063e633"
         )
 
 
@@ -305,6 +334,15 @@ class TestAutomorphisms:
             disjoint_union([wheel(5)] * 2), disjoint_union([cycle(5)] * 2),
             complete(7), path(9), SimpleGraph(7),
         ]
+        # twin-rich graphs, whose twin swaps the search no longer meets at
+        # leaves: it seeds them instead
+        rng = random.Random(65)
+        graphs += [
+            complete_multipartite([1, 6]), complete_multipartite([2, 5]),
+            complete_multipartite([3, 4]), disjoint_union([complete(2)] * 4),
+            join([complete(4), SimpleGraph(4)]),
+            random_forest(rng, 12), random_forest(rng, 12),
+        ]
         for g in graphs:
             h = nx.empty_graph(g.n)
             h.add_edges_from(g.edges())
@@ -323,6 +361,46 @@ class TestAutomorphisms:
                         group.add(tau)
                         queue.append(tau)
             assert len(group) == count, g
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(8),
+            SimpleGraph(8),
+            complete_multipartite([1, 7]),
+            complete_multipartite([2, 5]),
+            join([complete(4), SimpleGraph(4)]),
+        ],
+        ids=["K8", "E8", "K1,7", "K2,5", "K4+E4"],
+    )
+    def test_one_leaf_when_every_cell_is_a_twin_class(self, g, monkeypatch):
+        # each degree class of these is one twin class, so the seeded twin
+        # transpositions leave one discrete leaf to reach; without them the
+        # search reaches 8, 8, 7, 6 and 7
+        leaves = []
+        refine = canonical._refine
+
+        def counting(adj, cells, splitters):
+            out = refine(adj, cells, splitters)
+            if len(out) == len(adj):
+                leaves.append(out)
+            return out
+
+        monkeypatch.setattr(canonical, "_refine", counting)
+        certificate(g)
+        assert len(leaves) == 1
+        # each vertex swapped with its next-lower twin, twins found here from
+        # the rows: the same neighbours apart from each other
+        auts = automorphisms(g)
+        for v in range(g.n):
+            lower = [
+                u for u in range(v)
+                if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
+            ]
+            if lower:
+                gamma = list(range(g.n))
+                gamma[lower[-1]], gamma[v] = v, lower[-1]
+                assert tuple(gamma) in auts
 
 
 class TestMemo:

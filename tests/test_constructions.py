@@ -241,6 +241,17 @@ class TestRecipes:
         layout = [{"order": 4}] + doc["component_layout"][1:]
         with pytest.raises(ValueError, match="regular"):
             ConstructionRecipe.from_json_dict({**doc, "component_layout": layout})
+        # a value of the wrong type is named by its key
+        for key, value in [
+            ("n", "20"), ("k", 3.0), ("ell", True), ("n0", None),
+            ("component_layout", [4, 4, 3]),
+            ("component_layout", {"order": 4, "regular": True}),
+        ]:
+            with pytest.raises(ValueError, match=f"field '{key}'"):
+                ConstructionRecipe.from_json_dict({**doc, key: value})
+        layout = [{**doc["component_layout"][0], "order": "4"}]
+        with pytest.raises(ValueError, match="field 'order'"):
+            ConstructionRecipe.from_json_dict({**doc, "component_layout": layout})
 
     def test_every_recipe_builds_and_reads_back(self):
         # a recipe validates itself: either construction raises at once, or

@@ -447,6 +447,14 @@ class TestResultSerialization:
         # a one-vertex witness in a result at n = 3
         with pytest.raises(ValueError, match="order"):
             ExtremalResult.from_json_dict({**doc, "n": 3, "witnesses": ["@"]})
+        # a value of the wrong type is named by its key
+        for key, value in [
+            ("n", "6"), ("ex_value", 6.0), ("candidates", None),
+            ("witness_count", "1"), ("exhaustive", 1),
+            ("family", "Bw"), ("witnesses", [6]),
+        ]:
+            with pytest.raises(ValueError, match=f"field '{key}'"):
+                ExtremalResult.from_json_dict({**doc, key: value})
 
     def test_budget_partial_roundtrip_is_equal(self):
         with pytest.raises(BudgetExceededError) as info:
