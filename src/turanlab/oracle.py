@@ -33,6 +33,21 @@ vertex that an automorphism of the parent maps to a smaller mask is skipped
 before its child is built: that child is a copy of an earlier one, and the
 first child of every class is never skipped, so every level, count and
 witness is the same as without the skip (the argument is at ``_children``).
+Each level keeps the first child of each class.  Below the top, the class
+is looked up by its certificate, which the next level needs anyway: it
+orders the parents, and its search leaves on each parent the automorphisms
+that the skip reads.  Top-level children are never parents, so there the
+key is a cheap isomorphism invariant (``_profile``), and a child is
+certified only when an admitted child shares its key; it is a copy exactly
+when one of them has its certificate.  This is exact and admission stays
+online: isomorphic graphs have equal profiles, so a copy always meets its
+class in its bucket, and the same first child of each class is admitted in
+the same order as under certificate keys, so every count, level, witness
+and budget partial is the same.  Only the witnesses are certified at the
+end, for their order and canonical labeling.  Deciding by a cheap
+invariant first and labeling canonically only when it cannot decide is the
+practice of McKay's canonical augmentation (Isomorph-free exhaustive
+generation, J. Algorithms 26, 1998).
 
 ``labeled_filter_ex`` is a deliberately different second oracle for n <= 7:
 it holds all 2^C(n,2) labeled graphs as the bits of one Python int, indexed
@@ -259,6 +274,30 @@ def _children(
             yield child
 
 
+def _profile(g: SimpleGraph) -> int:
+    """An isomorphism invariant of ``g`` read off its rows alone: the hash
+    of one triple per vertex v, sorted.  The triple is v's degree, the sum
+    of its neighbours' degrees, and the number of vertices outside N(v)
+    that have a neighbour in N(v).  The hash, not the tuple, is the key: a
+    tuple of tuples per top-level class outweighs the canonical memo those
+    classes no longer keep, and two profiles with one hash cost only a
+    certificate."""
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    out = []
+    for row in adj:
+        total = reach = 0
+        mask = row
+        while mask:
+            low = mask & -mask
+            u = low.bit_length() - 1
+            total += deg[u]
+            reach |= adj[u]
+            mask ^= low
+        out.append((row.bit_count(), total, (reach & ~row).bit_count()))
+    return hash(tuple(sorted(out)))
+
+
 def _check_order(n: int, allow_large: bool) -> None:
     """Raise ValueError unless ``brute_force_ex`` accepts the order ``n``."""
     if n < 0:
@@ -326,16 +365,22 @@ def brute_force_ex(
     current = [SimpleGraph(0)]
     levels: tuple[tuple[int, int], ...] = ()
     for size in range(1, n + 1):
-        # the one place a class is admitted: its first child, by certificate
-        level: dict[bytes, SimpleGraph] = {}
+        # the one place a class is admitted: its first child, in a bucket
+        # under its key.  Below the top the key is the certificate, so a
+        # non-empty bucket holds the class; at the top it is the cheap
+        # _profile, and a child is a copy when a graph in its bucket has its
+        # certificate (the module docstring says why this is exact)
+        below = size < n
+        key = certificate if below else _profile
+        level: dict[bytes | int, list[SimpleGraph]] = {}
         for parent in current:
             for child in _children(parent, fam, bounds[size]):
-                cert = certificate(child)
-                if cert in level:
+                bucket = level.setdefault(key(child), [])
+                if bucket and (below or certificate(child) in map(certificate, bucket)):
                     continue
-                level[cert] = child
+                bucket.append(child)
                 candidates += 1
-                if size == n:
+                if not below:
                     best = max(best, child.edge_count)
                 if cap is not None and candidates > cap:
                     over = f"candidate cap {cap} exceeded"
@@ -349,13 +394,15 @@ def brute_force_ex(
             raise ValueError(
                 f"every graph on {n} vertices contains the family; ex is undefined"
             )
-        current = [level[c] for c in sorted(level)]
+        # parents go in certificate order; nothing reads the top's order
+        current = [g for c in (sorted(level) if below else level) for g in level[c]]
         top = max(g.edge_count for g in current)
         levels += ((top, sum(g.edge_count == top for g in current)),)
 
-    witnesses = tuple(
-        canonical_form(g)[1] for g in current if g.edge_count == best
-    )
+    # the top's only certificates besides collisions: the witnesses' order
+    # and labels need them, and canonical_form reads the memo
+    extremal = [g for g in current if g.edge_count == best]
+    witnesses = tuple(canonical_form(g)[1] for g in sorted(extremal, key=certificate))
     assert witnesses, "a validated seed must be rediscovered at the top level"
     return ExtremalResult(n, fam, best, witnesses, True, candidates, levels)
 

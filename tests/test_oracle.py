@@ -49,7 +49,7 @@ from turanlab import (
 from turanlab.cli import build_formula, build_seeds_provider, parse_family
 from turanlab.containment import as_family
 from turanlab.graph6 import json_doc
-from turanlab.oracle import _children
+from turanlab.oracle import _children, _profile
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -182,10 +182,12 @@ class TestBruteForce:
         assert partial.candidates == 6
         assert partial.ex_value == 12
 
-    @pytest.mark.parametrize("cap", [5, 50, 300])
+    @pytest.mark.parametrize("cap", [5, 50, 300, 600, 1000, 1500])
     def test_budget_partial_bytes_pinned(self, cap):
-        # recorded before the level step skipped masks by the parent's
-        # automorphisms: the skip must not move a partial byte
+        # 5, 50 and 300 recorded before the level step skipped masks by the
+        # parent's automorphisms: the skip must not move a partial byte.
+        # 600, 1000 and 1500 trip inside level 9, recorded before the top
+        # level was keyed by _profile: the bucket rule must not move one
         with pytest.raises(BudgetExceededError) as info:
             brute_force_ex(9, [cycle(4)], budget=SearchBudget(max_candidates=cap))
         golden = GOLDEN / f"budget_c4_n9_cap{cap}.json"
@@ -197,7 +199,10 @@ class TestBruteForce:
         r = brute_force_ex(9, [cycle(4)])
         assert r.to_json() == (GOLDEN / "brute_force_c4_n9.json").read_text()
 
-    @pytest.mark.parametrize("cap, completed", [(5, 3), (50, 5), (300, 7)])
+    @pytest.mark.parametrize(
+        "cap, completed",
+        [(5, 3), (50, 5), (300, 7), (600, 8), (1000, 8), (1500, 8)],
+    )
     def test_budget_partial_keeps_its_completed_levels(self, cap, completed):
         # the pinned partials above: levels 1..completed finished, and each
         # record is ex(s) and |EX(s)| of its own run
@@ -420,6 +425,59 @@ class TestOrbitSkip:
                 )
         assert skipped > 200
         assert rejected > 200
+
+
+class TestTopLevelAdmission:
+    """The top level is keyed by ``_profile`` and certified only where two
+    children share a key."""
+
+    def test_profile_is_an_isomorphism_invariant(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(71)
+        graphs = [
+            SimpleGraph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()
+        ]
+        graphs += [
+            random_graph(rng, rng.randint(8, 12), rng.choice([0.2, 0.4, 0.6]))
+            for _ in range(300)
+        ]
+        for g in graphs:
+            image = g.relabel(rng.sample(range(g.n), g.n))
+            assert _profile(image) == _profile(g), encode_graph6(g)
+
+    def test_top_level_certifies_only_on_collision(self, monkeypatch):
+        import turanlab.oracle as oracle
+
+        calls: dict[int, int] = {}
+        searches: dict[int, int] = {}
+        certs: dict[int, set[bytes]] = {}
+        parents: dict[int, list[SimpleGraph]] = {}
+        real_certificate, real_children = oracle.certificate, oracle._children
+
+        def counting(g):
+            calls[g.n] = calls.get(g.n, 0) + 1
+            searches[g.n] = searches.get(g.n, 0) + (g._canon is None)
+            cert = real_certificate(g)
+            certs.setdefault(g.n, set()).add(cert)
+            return cert
+
+        def recording(parent, fam, bound):
+            parents.setdefault(parent.n, []).append(parent)
+            return real_children(parent, fam, bound)
+
+        monkeypatch.setattr(oracle, "certificate", counting)
+        monkeypatch.setattr(oracle, "_children", recording)
+        r = brute_force_ex(9, [cycle(4)])
+        # 1362 children reach level 9; only those sharing a profile with
+        # another child and the witnesses are searched
+        assert (searches[9], calls[9]) == (275, 292)
+        # every class below the top is a parent of the next level, and each
+        # is still certified through the module name
+        for s in range(1, 9):
+            assert len(certs[s]) == len(parents[s]), s
+            assert {certificate(p) for p in parents[s]} == certs[s], s
+        assert r.candidates == 1753
+        assert r.candidates - sum(len(parents[s]) for s in range(1, 9)) == 1226
 
 
 class TestResultSerialization:
