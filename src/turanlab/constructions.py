@@ -442,9 +442,12 @@ class ProperOrderReport:
     """
 
     n: int
-    ordered: bool
     ex_values: tuple[int, ...]
     witnesses: tuple[SimpleGraph | None, ...]
+
+    @property
+    def ordered(self) -> bool:
+        return all(w is not None for w in self.witnesses)
 
 
 def check_properly_ordered(
@@ -472,9 +475,4 @@ def check_properly_ordered(
                 found = cand
                 break
         witnesses.append(found)
-    return ProperOrderReport(
-        n=n,
-        ordered=all(w is not None for w in witnesses),
-        ex_values=tuple(ex_values),
-        witnesses=tuple(witnesses),
-    )
+    return ProperOrderReport(n, tuple(ex_values), tuple(witnesses))

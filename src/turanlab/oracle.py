@@ -33,18 +33,18 @@ vertex that an automorphism of the parent maps to a smaller mask is skipped
 before its child is built: that child is a copy of an earlier one, and the
 first child of every class is never skipped, so every level, count and
 witness is the same as without the skip (the argument is at ``_children``).
-Each level keeps the first child of each class.  Below the top, the class
-is looked up by its certificate, which the next level needs anyway: it
-orders the parents, and its search leaves on each parent the automorphisms
-that the skip reads.  Top-level children are never parents, so there the
-key is a cheap isomorphism invariant (``_profile``), and a child is
-certified only when an admitted child shares its key; it is a copy exactly
-when one of them has its certificate.  This is exact and admission stays
-online: isomorphic graphs have equal profiles, so a copy always meets its
-class in its bucket, and the same first child of each class is admitted in
-the same order as under certificate keys, so every count, level, witness
-and budget partial is the same.  Only the witnesses are certified at the
-end, for their order and canonical labeling.  Deciding by a cheap
+Each level keeps the first child of each class, by one rule at every
+level: the key is a cheap isomorphism invariant (``_profile``), and a child
+is certified only when an admitted child shares its key; it is a copy
+exactly when one of them has its certificate.  This is exact and admission
+stays online: isomorphic graphs have equal profiles, so a copy always meets
+its class in its bucket, and the same first child of each class is admitted
+in the same order as under certificate keys, so every count, level, witness
+and budget partial is the same.  Each level's parents are read in
+certificate order, whose search leaves on each parent the automorphisms
+that the skip reads; so below the top every yielded child is certified
+once, admitted or not, and at the top only collisions and, for their order
+and canonical labeling, the witnesses are.  Deciding by a cheap
 invariant first and labeling canonically only when it cannot decide is the
 practice of McKay's canonical augmentation (Isomorph-free exhaustive
 generation, J. Algorithms 26, 1998).
@@ -95,8 +95,8 @@ class SearchBudget:
     validation of the seeds, the internal Turán seed's freeness check among
     them, and the mask scan of each parent.  At large n those alone can far
     outlast ``max_seconds``.  The scan reads the parent's automorphisms
-    without a search: the ``certificate`` call that admitted the parent
-    found them and kept them on the graph.
+    without a search: the ``certificate`` call that put the parents in
+    order found them and kept them on the graph.
     """
 
     max_candidates: int | None = None
@@ -219,8 +219,8 @@ def _children(
 
     A mask that one of the parent's automorphisms (``automorphisms``) maps
     to a smaller mask is skipped before its child is built.  They cost no
-    search: the ``certificate`` call that admitted the parent found them
-    and left them on the graph.  The caller, which admits the first child
+    search: the ``certificate`` call that put the parents in order found
+    them and left them on the graph.  The caller, which admits the first child
     of each class, sees the same classes as without the skip: the edge
     bound, the degree rule, the invariant test, freeness and the class of
     the child are all invariant under Aut(parent), so the image mask is
@@ -275,13 +275,13 @@ def _children(
 
 
 def _profile(g: SimpleGraph) -> int:
-    """An isomorphism invariant of ``g`` read off its rows alone: the hash
-    of one triple per vertex v, sorted.  The triple is v's degree, the sum
-    of its neighbours' degrees, and the number of vertices outside N(v)
-    that have a neighbour in N(v).  The hash, not the tuple, is the key: a
-    tuple of tuples per top-level class outweighs the canonical memo those
-    classes no longer keep, and two profiles with one hash cost only a
-    certificate."""
+    """An isomorphism invariant of ``g`` read off its rows alone, the key of
+    every level's admission buckets: the hash of one triple per vertex v,
+    sorted.  The triple is v's degree, the sum of its neighbours' degrees,
+    and the number of vertices outside N(v) that have a neighbour in N(v).
+    The hash, not the tuple, is the key: a tuple of tuples per top-level
+    class outweighs the canonical memo those classes no longer keep, and
+    two profiles with one hash cost only a certificate."""
     adj = g.adj
     deg = [row.bit_count() for row in adj]
     out = []
@@ -365,22 +365,18 @@ def brute_force_ex(
     current = [SimpleGraph(0)]
     levels: tuple[tuple[int, int], ...] = ()
     for size in range(1, n + 1):
-        # the one place a class is admitted: its first child, in a bucket
-        # under its key.  Below the top the key is the certificate, so a
-        # non-empty bucket holds the class; at the top it is the cheap
-        # _profile, and a child is a copy when a graph in its bucket has its
-        # certificate (the module docstring says why this is exact)
-        below = size < n
-        key = certificate if below else _profile
-        level: dict[bytes | int, list[SimpleGraph]] = {}
-        for parent in current:
+        # the one place a class is admitted: its first child, in the bucket
+        # of its _profile; a child is a copy when a graph in its bucket has
+        # its certificate (the module docstring says why this is exact)
+        level: dict[int, list[SimpleGraph]] = {}
+        for parent in sorted(current, key=certificate):
             for child in _children(parent, fam, bounds[size]):
-                bucket = level.setdefault(key(child), [])
-                if bucket and (below or certificate(child) in map(certificate, bucket)):
+                bucket = level.setdefault(_profile(child), [])
+                if bucket and certificate(child) in map(certificate, bucket):
                     continue
                 bucket.append(child)
                 candidates += 1
-                if not below:
+                if size == n:
                     best = max(best, child.edge_count)
                 if cap is not None and candidates > cap:
                     over = f"candidate cap {cap} exceeded"
@@ -394,13 +390,12 @@ def brute_force_ex(
             raise ValueError(
                 f"every graph on {n} vertices contains the family; ex is undefined"
             )
-        # parents go in certificate order; nothing reads the top's order
-        current = [g for c in (sorted(level) if below else level) for g in level[c]]
+        current = [g for bucket in level.values() for g in bucket]
         top = max(g.edge_count for g in current)
         levels += ((top, sum(g.edge_count == top for g in current)),)
 
-    # the top's only certificates besides collisions: the witnesses' order
-    # and labels need them, and canonical_form reads the memo
+    # the witnesses' order and labels need their certificates, and
+    # canonical_form reads the memo
     extremal = [g for g in current if g.edge_count == best]
     witnesses = tuple(canonical_form(g)[1] for g in sorted(extremal, key=certificate))
     assert witnesses, "a validated seed must be rediscovered at the top level"
@@ -618,8 +613,11 @@ class MaximalityReport:
     """Edge-maximality audit: ``violations`` lists non-edges whose addition
     leaves the graph free, so the graph is maximal iff that list is empty."""
 
-    maximal: bool
     violations: tuple[tuple[int, int], ...]
+
+    @property
+    def maximal(self) -> bool:
+        return not self.violations
 
 
 def maximality_audit(
@@ -639,4 +637,4 @@ def maximality_audit(
         probe = g.with_edge(u, v)
         if not contains_disjoint_family_through(probe, fam, u):
             violations.append((u, v))
-    return MaximalityReport(not violations, tuple(violations))
+    return MaximalityReport(tuple(violations))

@@ -31,7 +31,8 @@ class PartitionDiagnostics(Artifact):
     """An r-partition with its internal-edge count and degree-threshold set.
 
     ``w_set`` holds the vertices whose internal degree (neighbors inside
-    their own part) is at least theta * n.
+    their own part) is at least theta * n.  Its JSON is its fields, tuples as
+    lists, plus ``schema``.
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -43,11 +44,9 @@ class PartitionDiagnostics(Artifact):
     def to_json_dict(self) -> dict:
         return {
             "schema": "partition-diagnostics/1",
+            **asdict(self),
             "parts": [list(p) for p in self.parts],
-            "internal_edges": self.internal_edges,
-            "theta": self.theta,
             "w_set": list(self.w_set),
-            "mode": self.mode,
         }
 
 

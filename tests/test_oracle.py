@@ -428,7 +428,7 @@ class TestOrbitSkip:
 
 
 class TestTopLevelAdmission:
-    """The top level is keyed by ``_profile`` and certified only where two
+    """Every level is keyed by ``_profile`` and certified only where two
     children share a key."""
 
     def test_profile_is_an_isomorphism_invariant(self):
@@ -452,6 +452,7 @@ class TestTopLevelAdmission:
         searches: dict[int, int] = {}
         certs: dict[int, set[bytes]] = {}
         parents: dict[int, list[SimpleGraph]] = {}
+        yielded: dict[int, int] = {}
         real_certificate, real_children = oracle.certificate, oracle._children
 
         def counting(g):
@@ -463,21 +464,51 @@ class TestTopLevelAdmission:
 
         def recording(parent, fam, bound):
             parents.setdefault(parent.n, []).append(parent)
-            return real_children(parent, fam, bound)
+            for child in real_children(parent, fam, bound):
+                yielded[child.n] = yielded.get(child.n, 0) + 1
+                yield child
 
         monkeypatch.setattr(oracle, "certificate", counting)
         monkeypatch.setattr(oracle, "_children", recording)
         r = brute_force_ex(9, [cycle(4)])
         # 1362 children reach level 9; only those sharing a profile with
         # another child and the witnesses are searched
+        assert yielded[9] == 1362
         assert (searches[9], calls[9]) == (275, 292)
-        # every class below the top is a parent of the next level, and each
-        # is still certified through the module name
+        # below the top, every yielded child is searched exactly once: at a
+        # collision or when it is sorted as a parent, never twice
+        for s in range(1, 9):
+            assert searches[s] == yielded[s], s
+        # every class below the top is a parent of the next level, reached
+        # in certificate order and certified through the module name
         for s in range(1, 9):
             assert len(certs[s]) == len(parents[s]), s
-            assert {certificate(p) for p in parents[s]} == certs[s], s
+            order = [certificate(p) for p in parents[s]]
+            assert order == sorted(certs[s]), s
         assert r.candidates == 1753
         assert r.candidates - sum(len(parents[s]) for s in range(1, 9)) == 1226
+
+    def test_certificates_alone_decide_when_every_profile_collides(
+        self, monkeypatch
+    ):
+        import turanlab.oracle as oracle
+
+        two_k3 = [complete(3), complete(3)]
+        expected = [
+            ((9, [cycle(4)], None), (GOLDEN / "brute_force_c4_n9.json").read_text()),
+            ((8, two_k3, None), brute_force_ex(8, two_k3).to_json()),
+        ]
+        for cap in (50, 300, 1000):
+            golden = GOLDEN / f"budget_c4_n9_cap{cap}.json"
+            expected.append(((9, [cycle(4)], cap), golden.read_text()))
+        monkeypatch.setattr(oracle, "_profile", lambda g: 0)
+        for (n, pats, cap), text in expected:
+            try:
+                r = brute_force_ex(n, pats, SearchBudget(max_candidates=cap))
+            except BudgetExceededError as err:
+                assert cap is not None
+                r = err.partial
+            assert r.to_json() == text, (n, cap)
 
 
 class TestResultSerialization:
